@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import ndtri
 
 from .phasespace import GridSpec, grid_hamiltonian
 
@@ -182,12 +181,13 @@ def classical_partition(v: Potential, beta: float, tau: float, m: float,
 
 
 def spectral_partition(v: Potential, beta: float, spec: GridSpec | None = None,
-                       m: float = 1.0) -> float:
+                       m: float = 1.0, hbar: float = 1.0) -> float:
     """Independent reference: sum of e^{-beta lambda_n} over the eigenvalues
-    of the discretized Hamiltonian."""
+    of the discretized Hamiltonian.  ``hbar`` sets the default grid; a given
+    ``spec`` carries its own."""
     if spec is None:
         r = _decay_radius(v, beta, floor=27.7)  # e^{-beta v} < 1e-12
-        spec = GridSpec(n=512, length=4 * max(r, 1.0), hbar=1.0)
+        spec = GridSpec(n=512, length=4 * max(r, 1.0), hbar=hbar)
     h = grid_hamiltonian(spec, m, lambda x: float(v(x)))
     vals, vecs = np.linalg.eigh(h)
     edge = np.abs(vecs[[0, -1], :3]).max() * math.sqrt(spec.dq)
@@ -266,6 +266,9 @@ def _path_normals(m_slices: int, seed: int, start: int, count: int) -> np.ndarra
     if start:
         gen.bit_generator.advance(start * block // 4)
     raw = gen.random((count, block))[:, :n_cols]
+    # imported here: scipy.special is slow to import and only the path
+    # sampler needs it
+    from scipy.special import ndtri
     return ndtri(np.clip(raw, 1e-300, 1 - 1e-16))
 
 
@@ -426,13 +429,15 @@ def bound_check(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
     """Assemble the sandwich z(beta,beta) <= tr e^{-beta H} <= z(beta,0)
     with the MC estimate and, when grid-feasible, the spectral reference
     and the matching tau*."""
+    if spec is not None and spec.hbar != hbar:
+        raise ValueError("spec.hbar must equal hbar")
     z_upper = classical_partition(v, beta, 0.0, m, hbar)
     z_lower = classical_partition(v, beta, beta, m, hbar)
     estimate, stderr = fk_mc_partition(v, beta, m, hbar, m_slices, n_paths, seed)
     spectral = None
     ts = None
     if with_spectral:
-        spectral = spectral_partition(v, beta, spec, m)
+        spectral = spectral_partition(v, beta, spec, m, hbar)
         if not v.is_constant and z_lower <= spectral < z_upper:
             ts = tau_star(v, beta, m, hbar, z_target=spectral)
     return PartitionReport(beta, z_upper, z_lower, estimate, stderr, spectral, ts)

@@ -11,6 +11,26 @@ psi_hat(p) = int dq/sqrt(2*pi*hbar) psi(q) exp(-i p q/hbar).
 Operators in this module are position kernels A(q,q') in continuum
 normalization: (A psi)(q) = sum_q' A(q,q') psi(q') dq and
 tr A = sum_q A(q,q) dq.
+
+FFT conventions.  Every Fourier sum runs through numpy.fft; no DFT matrix
+is built and nothing is cached between calls, so a transform costs
+O(n^2 log n) time and O(n^2) memory.
+- On the grid, exp(-i p_m q_k/hbar) = (-1)^(m - n/2) (-1)^k exp(-2 pi i mk/n),
+  and the factor (-1)^k shifts the spectrum by n/2, so
+  psi_hat = dq/sqrt(2 pi hbar) * (-1)^(m - n/2) * fftshift(fft(psi));
+  from_momentum inverts it with ifftshift and ifft.
+- Functions of P are circulant kernels c[(k - k') mod n] with
+  c = ifft(ifftshift(p^power)) / dq.
+- The Wigner sum over half-step lags l in (-n, n) carries the phase
+  exp(2 pi i (m - n/2) l/n), which has period n in l: lags l and l + n are
+  folded (l -> l mod n) into one n-point inverse FFT per position, and an
+  fftshift puts p = 0 in row n/2.  The Weyl map is the same sum read the
+  other way, an inverse FFT along p indexed at (k - k') mod n.
+- For a pure state the upsampled kernel is rank one, u u^dag with u the
+  upsampled wavefunction, so the Wigner lags are gathered as
+  u[2k - l] conj(u[2k + l]) from 2n samples instead of a 2n x 2n matrix.
+  The lags are built a block of positions at a time, which bounds the
+  transient memory.
 """
 
 from __future__ import annotations
@@ -20,6 +40,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridSpec", "GridWavefunction", "PhaseSpaceField",
@@ -30,9 +51,6 @@ __all__ = [
     "moyal_poisson_check", "QuadraticSymbol",
     "position_kernel", "momentum_kernel", "grid_hamiltonian",
 ]
-
-_fourier_cache: dict = {}
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -65,17 +83,6 @@ class GridSpec:
     def fine_position_grid(self) -> np.ndarray:
         """2n half-step positions, used by the Wigner/Weyl quadratures."""
         return -self.length / 2 + (self.dq / 2) * np.arange(2 * self.n)
-
-
-def _fourier_matrix(spec: GridSpec) -> np.ndarray:
-    """U with psi_hat = U @ psi; U^dag U = (dq/dp) * identity."""
-    key = (spec.n, spec.length, spec.hbar)
-    if key not in _fourier_cache:
-        q = spec.position_grid()
-        p = spec.momentum_grid()
-        _fourier_cache[key] = (spec.dq / math.sqrt(2 * math.pi * spec.hbar)
-                               * np.exp(-1j * np.outer(p, q) / spec.hbar))
-    return _fourier_cache[key]
 
 
 @dataclass(frozen=True)
@@ -123,14 +130,14 @@ class PhaseSpaceField:
         return complex(np.sum(np.conj(self.values) * other.values) * cell)
 
     def to_csv(self, path):
-        p = self.spec.momentum_grid()
-        q = self.spec.position_grid()
+        """Rows "p,q,value" with each float's repr, p outer and q inner."""
+        p = [repr(x) for x in self.spec.momentum_grid().tolist()]
+        q = [repr(x) for x in self.spec.position_grid().tolist()]
+        rows = np.asarray(self.values.real, dtype=float).tolist()
         with open(path, "w") as fh:
             fh.write("p,q,value\n")
-            for i, pv in enumerate(p):
-                for j, qv in enumerate(q):
-                    fh.write(f"{float(pv)!r},{float(qv)!r},"
-                             f"{float(self.values[i, j].real)!r}\n")
+            for pv, row in zip(p, rows):
+                fh.write("".join([f"{pv},{qv},{v!r}\n" for qv, v in zip(q, row)]))
 
     def to_binary(self, path):
         with open(path, "wb") as fh:
@@ -164,14 +171,22 @@ def gaussian_packet(spec: GridSpec, alpha2: float, gamma: float = 0.0,
     return GridWavefunction(spec, psi)
 
 
+def _momentum_sign(n: int) -> np.ndarray:
+    """(-1)^(m - n/2): the phase exp(-i p_m q_0/hbar) of the first sample."""
+    return (-1.0) ** (np.arange(n) - n // 2)
+
+
 def to_momentum(psi: GridWavefunction) -> np.ndarray:
     """Momentum samples psi_hat(p_m); Parseval holds with weight dp."""
-    return _fourier_matrix(psi.spec) @ psi.samples
+    spec = psi.spec
+    return ((spec.dq / math.sqrt(2 * math.pi * spec.hbar)) * _momentum_sign(spec.n)
+            * np.fft.fftshift(np.fft.fft(psi.samples)))
 
 
 def from_momentum(spec: GridSpec, psi_hat: np.ndarray) -> np.ndarray:
-    u = _fourier_matrix(spec)
-    return (spec.dp / spec.dq) * (u.conj().T @ psi_hat)
+    """Position samples from n momentum samples; inverse of to_momentum."""
+    return ((math.sqrt(2 * math.pi * spec.hbar) / spec.dq)
+            * np.fft.ifft(np.fft.ifftshift(_momentum_sign(spec.n) * psi_hat)))
 
 
 def evolve_free(psi: GridWavefunction, t: float, mass: float) -> GridWavefunction:
@@ -273,20 +288,59 @@ def _upsample_axis(values: np.ndarray, axis: int) -> np.ndarray:
     the Nyquist bin is split half-half onto +-Nyquist so the interpolation
     is symmetric (real input stays real, Hermitian kernels stay Hermitian).
     """
-    n = values.shape[axis]
-    f = np.moveaxis(np.fft.fft(values, axis=axis), axis, 0)
-    pad = np.zeros((2 * n,) + f.shape[1:], dtype=complex)
+    f = np.fft.fft(np.moveaxis(values, axis, -1))
+    n = f.shape[-1]
     h = n // 2
-    pad[:h] = f[:h]
-    pad[h] = f[h] / 2
-    pad[2 * n - h] = f[h] / 2
-    pad[2 * n - h + 1:] = f[h + 1:]
-    return np.fft.ifft(np.moveaxis(pad, 0, axis), axis=axis) * 2
+    pad = np.zeros(f.shape[:-1] + (2 * n,), dtype=complex)
+    pad[..., :h] = f[..., :h]
+    pad[..., h] = pad[..., 2 * n - h] = f[..., h] / 2
+    pad[..., 2 * n - h + 1:] = f[..., h + 1:]
+    out = np.fft.ifft(pad)
+    out *= 2
+    return np.moveaxis(out, -1, axis)
 
 
 def _upsample2(values: np.ndarray) -> np.ndarray:
     """Band-limited 2x upsampling of a 2D field in both directions."""
     return _upsample_axis(_upsample_axis(values, 0), 1)
+
+
+# Cells per block of Wigner lags (16 MiB of complex128): bounds the
+# transform's transient memory independently of the grid size.
+_LAG_BLOCK_CELLS = 1 << 20
+
+
+def _pure_lags(samples: np.ndarray):
+    """Lag rows of the rank-one kernel u u^dag, u the 2n upsampled samples:
+    rows(k0, k1)[k - k0, l + n - 1] = u[2k - l] conj(u[2k + l]) for
+    l in (-n, n), zero where an index leaves the fine grid."""
+    n = len(samples)
+    padded = np.zeros(4 * n, dtype=complex)
+    padded[n:3 * n] = _upsample_axis(samples, 0)
+    windows = sliding_window_view(padded, 2 * n - 1)
+    conj_windows = sliding_window_view(padded.conj(), 2 * n - 1)
+
+    def rows(k0, k1):
+        starts = slice(2 * k0 + 1, 2 * k1 + 1, 2)
+        return windows[starts, ::-1] * conj_windows[starts]
+
+    return rows
+
+
+def _kernel_lags(kernel: np.ndarray):
+    """Lag rows kup[2k - l, 2k + l] of a general kernel, laid out as in
+    _pure_lags, from its 2n x 2n band-limited upsampling kup."""
+    n = len(kernel)
+    fine = _upsample2(kernel).ravel()
+    lags = np.arange(1 - n, n)
+
+    def rows(k0, k1):
+        mid = 2 * np.arange(k0, k1)[:, None]
+        a, b = mid - lags, mid + lags
+        inside = (a >= 0) & (a < 2 * n) & (b >= 0) & (b < 2 * n)
+        return np.where(inside, fine[np.where(inside, a * (2 * n) + b, 0)], 0)
+
+    return rows
 
 
 def wigner_transform(state, spec: GridSpec | None = None,
@@ -297,45 +351,52 @@ def wigner_transform(state, spec: GridSpec | None = None,
     The r-integral runs on a half-step grid with band-limited kernel
     interpolation, which keeps the momentum sampling alias-free.
     """
+    edge = peak = 0.0
     if isinstance(state, GridWavefunction):
         spec = state.spec
-        kernel = state.kernel()
         if check_state is None:
             check_state = True
+        amp = np.abs(state.samples)
+        # border and peak of |psi_i psi_j^*|, without forming the kernel
+        edge, peak = max(amp[0], amp[-1]) * amp.max(), amp.max() ** 2
+        rows = _pure_lags(state.samples)
     else:
         if spec is None:
             raise ValueError("a GridSpec is required for kernel input")
         kernel = np.asarray(state, dtype=complex)
         if check_state is None:
             check_state = False
+        if check_state:
+            amp = np.abs(kernel)
+            edge = max(amp[[0, -1]].max(), amp[:, [0, -1]].max())
+            peak = amp.max()
+        rows = _kernel_lags(kernel)
+    if check_state and edge > 1e-10 * peak:
+        raise ValueError("kernel support reaches the grid edge")
+
+    # The lag l puts r at l dq/2.  l = -n (r = -L/2) has no mirror partner
+    # on the half-step grid and is dropped, l running over (-n, n), to keep
+    # the quadrature symmetric under r -> -r, which makes the transform of
+    # a Hermitian kernel exactly real.
     n = spec.n
-    if check_state:
-        border = np.concatenate([
-            np.abs(kernel[0]), np.abs(kernel[-1]),
-            np.abs(kernel[:, 0]), np.abs(kernel[:, -1])])
-        if border.max() > 1e-10 * np.abs(kernel).max():
-            raise ValueError("kernel support reaches the grid edge")
-
-    kup = _upsample2(kernel)
-    j = np.arange(2 * n)
-    k = np.arange(n)
-    i1 = 2 * k[None, :] - j[:, None] + n   # fine index of q - r
-    i2 = 2 * k[None, :] + j[:, None] - n   # fine index of q + r
-    # j = 0 (r = -L/2) has no mirror partner on the half-step grid and is
-    # dropped to keep the quadrature symmetric under r -> -r, which makes
-    # the transform of a Hermitian kernel exactly real.
-    valid = (i1 >= 0) & (i1 < 2 * n) & (i2 >= 0) & (i2 < 2 * n) & (j[:, None] > 0)
-    f = np.zeros((2 * n, n), dtype=complex)
-    f[valid] = kup[i1[valid], i2[valid]]
-
-    m = np.arange(n)
-    phase = np.exp(2j * math.pi * np.outer(m - n // 2, j - n) / n)
-    w = spec.dq * (phase @ f)
-
-    resid = float(np.max(np.abs(w.imag)))
-    if resid > 1e-8 * max(1.0, np.max(np.abs(w.real))):
-        raise ValueError(f"Wigner transform has imaginary residue {resid:.3e}")
-    field = PhaseSpaceField(spec, w.real)
+    w = np.empty((n, n))
+    imag = real = 0.0
+    step = max(1, _LAG_BLOCK_CELLS // (2 * n))
+    for k0 in range(0, n, step):
+        k1 = min(n, k0 + step)
+        f = rows(k0, k1)
+        # exp(2 pi i (m - n/2) l/n) has period n in l: fold lag l - n onto l
+        f[:, n:] += f[:, :n - 1]
+        x = np.fft.ifft(f[:, n - 1:], axis=1)
+        x *= n * spec.dq
+        imag = max(imag, float(np.abs(x.imag).max()))
+        real = max(real, float(np.abs(x.real).max()))
+        # fftshift along p, transposed into the [p, q] layout
+        w[:n // 2, k0:k1] = x.real[:, n // 2:].T
+        w[n // 2:, k0:k1] = x.real[:, :n // 2].T
+    if imag > 1e-8 * max(1.0, real):
+        raise ValueError(f"Wigner transform has imaginary residue {imag:.3e}")
+    field = PhaseSpaceField(spec, w)
     if check_state:
         _check_state_invariants(field)
     return field
@@ -362,20 +423,25 @@ def weyl_quantize(symbol: PhaseSpaceField, fine_symbol: np.ndarray | None = None
     """
     spec = symbol.spec
     n = spec.n
-    aup = fine_symbol if fine_symbol is not None else _upsample_axis(
-        np.asarray(symbol.values, dtype=complex), axis=1)
-    if aup.shape != (n, 2 * n):
-        raise ValueError("fine symbol must have shape (n, 2n)")
-    d = np.arange(-(n - 1), n)
-    m = np.arange(n)
-    phase = (spec.dp / (2 * math.pi * spec.hbar)
-             * np.exp(2j * math.pi * np.outer(d, m - n // 2) / n))
-    g = phase @ aup   # g[d + n - 1, k + k']
-    kk = np.arange(n)
-    a = g[kk[:, None] - kk[None, :] + n - 1, kk[:, None] + kk[None, :]]
-    if compact:
-        a[np.abs(kk[:, None] - kk[None, :]) > n // 2] = 0.0
-    return a
+    if fine_symbol is None:
+        # the transform along p commutes with the upsampling along q; doing
+        # it first runs it on n x n samples instead of n x 2n
+        g = _upsample_axis(np.fft.ifft(symbol.values, axis=0), axis=1)
+    else:
+        if fine_symbol.shape != (n, 2 * n):
+            raise ValueError("fine symbol must have shape (n, 2n)")
+        g = np.fft.ifft(fine_symbol, axis=0)
+    # With d = k - k' and midpoint index s = k + k',
+    # sum_m exp(2 pi i d (m - n/2)/n) a[m, s] = (-1)^d n g[d mod n, s].
+    # Diagonal d of the kernel is row d mod n of g at s = |d|, |d| + 2, ...
+    span = n // 2 if compact else n - 1
+    kernel = np.zeros((n, n), dtype=complex)
+    diagonals = kernel.reshape(-1)
+    for d in range(-span, span + 1):
+        start = d * n if d >= 0 else -d
+        diagonals[start:start + (n - abs(d)) * (n + 1):n + 1] = (
+            (-1) ** d / spec.dq * g[d % n, abs(d):2 * n - abs(d):2])
+    return kernel
 
 
 def isometry_check(a_kernel: np.ndarray, b_kernel: np.ndarray, spec: GridSpec) -> dict:
@@ -399,15 +465,14 @@ def gauss_smooth(w: PhaseSpaceField, sp2: float, sq2: float) -> PhaseSpaceField:
     if sp2 <= 0 or sq2 <= 0:
         raise ValueError("smoothing variances must be positive")
     spec = w.spec
-    p = spec.momentum_grid()
-    q = spec.position_grid()
-    gp = np.exp(-p ** 2 / (2 * sp2))
-    gq = np.exp(-q ** 2 / (2 * sq2))
-    g = np.outer(gp, gq)
-    g /= g.sum() * spec.dp * spec.dq
-    conv = np.fft.ifft2(np.fft.fft2(np.fft.ifftshift(g))
-                        * np.fft.fft2(w.values)).real * spec.dp * spec.dq
-    return PhaseSpaceField(spec, conv)
+    # the Gaussian is separable, so its 2-d transform is an outer product of
+    # 1-d ones, applied by broadcasting; both factors are real fields
+    gp = np.fft.ifftshift(np.exp(-spec.momentum_grid() ** 2 / (2 * sp2)))
+    gq = np.fft.ifftshift(np.exp(-spec.position_grid() ** 2 / (2 * sq2)))
+    spectrum = np.fft.rfft2(w.values.real)
+    spectrum *= np.fft.fft(gp)[:, None] / gp.sum()
+    spectrum *= np.fft.rfft(gq)[None, :] / gq.sum()
+    return PhaseSpaceField(spec, np.fft.irfft2(spectrum, s=(spec.n, spec.n)))
 
 
 class QuadraticSymbol:
@@ -511,18 +576,23 @@ def position_kernel(spec: GridSpec, f=None) -> np.ndarray:
     return np.diag(vals / spec.dq).astype(complex)
 
 
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """Matrix C[k, k'] = c[(k - k') mod n]."""
+    n = len(c)
+    rev = c[::-1]
+    return sliding_window_view(np.concatenate([rev, rev]), n)[n - 1::-1].copy()
+
+
 def momentum_kernel(spec: GridSpec, power: int = 1) -> np.ndarray:
     """Kernel of P^power via the grid Fourier transform."""
-    u = _fourier_matrix(spec)
     p = spec.momentum_grid().astype(complex) ** power
-    return (spec.dp / spec.dq) * (u.conj().T @ (p[:, None] * u)) / spec.dq
+    return _circulant(np.fft.ifft(np.fft.ifftshift(p)) / spec.dq)
 
 
 def grid_hamiltonian(spec: GridSpec, mass: float, potential) -> np.ndarray:
     """Sample-action matrix of P^2/(2m) + v(Q); Hermitian, eigensolve-ready."""
-    u = _fourier_matrix(spec)
     p2 = spec.momentum_grid() ** 2 / (2 * mass)
-    kin = (spec.dp / spec.dq) * (u.conj().T @ (p2[:, None] * u))
+    h = _circulant(np.fft.ifft(np.fft.ifftshift(p2)))
     q = spec.position_grid()
-    h = kin + np.diag(np.asarray([potential(x) for x in q], dtype=complex))
+    h[np.diag_indices(spec.n)] += np.asarray([potential(x) for x in q], dtype=complex)
     return 0.5 * (h + h.conj().T)

@@ -1,6 +1,11 @@
 """Tests for the scenario runner command."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +57,13 @@ class TestScenarios:
         payload = json.loads(out)
         assert payload["results"]["satisfying_assignments"] == 0
         assert payload["results"]["control_assignments"] > 0
+
+    def test_fk_hbar_half(self, capsys):
+        code, out = run_cli(capsys, "--scenario", "fk", "--paths", "2000",
+                            "--hbar", "0.5")
+        assert code == 0
+        exact = 1.0 / (2 * math.sinh(0.5))  # beta = 2, hbar = 1/2, omega = 1
+        assert abs(json.loads(out)["results"]["spectral_reference"] - exact) < 1e-10
 
     def test_fk_bounds(self, capsys):
         code, out = run_cli(capsys, "--scenario", "fk", "--paths", "2000")
@@ -149,3 +161,14 @@ class TestExitCodes:
         monkeypatch.setitem(cli.__dict__, "_run_mermin", broken)
         code, _ = run_cli(capsys, "--scenario", "mermin")
         assert code == 3
+
+
+class TestStartup:
+    def test_import_leaves_scipy_special_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+        probe = "import sys, qdesk; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -18,6 +18,7 @@ from qdesk.feynman_kac import (
     spectral_partition,
     tau_star,
 )
+from qdesk.phasespace import GridSpec
 
 HARMONIC = Potential.polynomial([0.0, 0.0, 0.5])
 QUARTIC = Potential.polynomial([0.0, 0.0, 0.0, 0.0, 0.25])
@@ -86,6 +87,21 @@ class TestSpectralReference:
     def test_harmonic_value(self):
         z = spectral_partition(HARMONIC, 2.0)
         assert abs(z - SPECTRAL_HARMONIC) < 1e-10
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("mass", [0.5, 2.0])
+    def test_harmonic_value_across_units(self, hbar, mass):
+        # omega = 1/sqrt(m) for v = q^2/2
+        exact = 1.0 / (2 * math.sinh(2.0 * hbar / (2 * math.sqrt(mass))))
+        z = spectral_partition(HARMONIC, 2.0, m=mass, hbar=hbar)
+        assert abs(z - exact) < 1e-10 * exact
+        rep = bound_check(HARMONIC, 2.0, m=mass, hbar=hbar, n_paths=2_000)
+        assert abs(rep.spectral_reference - exact) < 1e-10 * exact
+
+    def test_bound_check_rejects_spec_in_other_units(self):
+        with pytest.raises(ValueError, match="hbar"):
+            bound_check(HARMONIC, 2.0, hbar=0.5, n_paths=2_000,
+                        spec=GridSpec(n=512, length=32.0, hbar=1.0))
 
     def test_sandwich(self):
         z = spectral_partition(HARMONIC, 2.0)

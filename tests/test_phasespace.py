@@ -317,6 +317,23 @@ class TestFieldIO:
         assert len(lines) == SPEC.n ** 2 + 1
         assert lines[0] == "p,q,value"
 
+    def test_csv_bytes_match_per_cell_writer(self, tmp_path):
+        spec = GridSpec(n=16, length=4.0, hbar=0.7)
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal((16, 16)) * np.logspace(-300, 300, 16)
+        vals[0, :4] = (-0.0, 1 / 3, 1e-310, 2.0)
+        field = PhaseSpaceField(spec, vals + 1j * rng.standard_normal((16, 16)))
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w") as fh:
+            fh.write("p,q,value\n")
+            for i, pv in enumerate(spec.momentum_grid()):
+                for j, qv in enumerate(spec.position_grid()):
+                    fh.write(f"{float(pv)!r},{float(qv)!r},"
+                             f"{float(field.values[i, j].real)!r}\n")
+        path = tmp_path / "field.csv"
+        field.to_csv(path)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_binary_size(self, tmp_path):
         w = wigner_transform(gaussian_packet(SPEC, alpha2=1.0))
         path = tmp_path / "field.bin"
