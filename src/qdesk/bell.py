@@ -15,30 +15,17 @@ import numpy as np
 
 from .moments import entropy
 from .operators import DensityOperator, HermitianOperator, commutator, partial_trace, tensor
-from .spin import PAULI, SX, SY, SZ
+from .spin import PAULI, SX, SY, SZ, _ID2, _pauli_sum, _unit
 
 __all__ = [
     "CHSHConfig", "EntropyTriangleReport", "MagicSquare",
     "singlet", "bell_states", "entropy_triangle",
-    "chsh_operator", "chsh_value", "werner_state",
+    "chsh_operator", "chsh_value", "singlet_chsh_closed_form", "werner_state",
     "classical_chsh_enumeration", "mermin_square", "mermin_assignment_search",
     "fig1_config", "random_density", "random_separable",
 ]
 
-_ID2 = np.eye(2, dtype=complex)
 _ID4 = np.eye(4, dtype=complex)
-
-
-def _spin_dot(vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    return v[0] * SX + v[1] * SY + v[2] * SZ
-
-
-def _unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError(f"{name} must be a unit vector (|{name}| = {np.linalg.norm(v)})")
-    return v
 
 
 @dataclass(frozen=True)
@@ -56,10 +43,10 @@ class CHSHConfig:
 
     def observables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (
-            tensor(_spin_dot(self.a), _ID2),
-            tensor(_spin_dot(self.b), _ID2),
-            tensor(_ID2, _spin_dot(self.c)),
-            tensor(_ID2, _spin_dot(self.d)),
+            tensor(_pauli_sum(0.0, self.a), _ID2),
+            tensor(_pauli_sum(0.0, self.b), _ID2),
+            tensor(_ID2, _pauli_sum(0.0, self.c)),
+            tensor(_ID2, _pauli_sum(0.0, self.d)),
         )
 
 
@@ -106,14 +93,8 @@ def entropy_triangle(w: DensityOperator) -> EntropyTriangleReport:
     if w.dim != 4:
         raise ValueError("entropy_triangle expects a two-qubit state")
     s = entropy(w)
-
-    def _red_entropy(m):
-        evs = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-        pos = evs[evs > 0]
-        return float(-np.sum(pos * np.log(pos)))
-
-    s1 = _red_entropy(partial_trace(w.matrix, (2, 2), keep=1))
-    s2 = _red_entropy(partial_trace(w.matrix, (2, 2), keep=2))
+    s1 = entropy(partial_trace(w.matrix, (2, 2), keep=1))
+    s2 = entropy(partial_trace(w.matrix, (2, 2), keep=2))
     return EntropyTriangleReport(s=s, s1=s1, s2=s2, delta_s=s1 + s2 - s)
 
 

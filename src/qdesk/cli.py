@@ -17,67 +17,13 @@ import time
 
 import numpy as np
 
-import importlib
-
-bl = importlib.import_module("qdesk.bell")
-fk = importlib.import_module("qdesk.feynman_kac")
-mo = importlib.import_module("qdesk.moments")
-op = importlib.import_module("qdesk.operators")
-ps = importlib.import_module("qdesk.phasespace")
-sp = importlib.import_module("qdesk.spin")
-
-SCENARIOS = ("inin", "entropic", "wigner", "fk", "hv", "bell", "mermin", "gleason")
-
-
-@dataclasses.dataclass
-class RunConfig:
-    scenario: str
-    seed: int = 0
-    beta: float = 2.0
-    hbar: float = 1.0
-    mass: float = 1.0
-    grid_n: int = 512
-    grid_length: float = 32.0
-    paths: int = 100_000
-    slices: int = 64
-    potential: tuple = (0.0, 0.0, 0.5)
-    vectors: tuple | None = None
-    state: str = "singlet"
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.seed < 0 or self.seed >= 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        for name in ("beta", "hbar", "mass"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.grid_n < 2 or self.grid_n & (self.grid_n - 1):
-            raise ValueError("grid_n must be a power of two")
-        if self.grid_length <= 0:
-            raise ValueError("grid_length must be positive")
-        if self.paths < 2 or self.slices < 2:
-            raise ValueError("paths and slices must be at least 2")
-        if self.vectors is not None and len(self.vectors) != 12:
-            raise ValueError("vectors must hold exactly 12 reals")
-
-    def echo(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["potential"] = list(self.potential)
-        d["vectors"] = None if self.vectors is None else list(self.vectors)
-        return d
-
-
-@dataclasses.dataclass
-class ReportRecord:
-    scenario: str
-    config: dict
-    results: dict
-    checks: dict
-    wall_time_ms: float
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+from . import bell as bl
+from . import feynman_kac as fk
+from . import operators as op
+from . import phasespace as ps
+from . import spin as sp
+# by name: the package attribute ``qdesk.moments`` is the re-exported function
+from .moments import moments
 
 
 def _chsh_config(cfg: RunConfig) -> bl.CHSHConfig:
@@ -103,17 +49,19 @@ def _packet(cfg: RunConfig, gamma: float = 0.3) -> ps.GridWavefunction:
     return ps.gaussian_packet(spec, alpha2=1.0, gamma=gamma)
 
 
+def _random_hermitian(dim: int, rng: np.random.Generator) -> op.HermitianOperator:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return op.HermitianOperator((g + g.conj().T) / 2)
+
+
 def _run_inin(cfg: RunConfig):
     rng = np.random.default_rng(np.random.Philox(key=cfg.seed))
     dim = 4
     w = bl.random_density(dim, rng)
-    a = op.HermitianOperator((lambda g: (g + g.conj().T) / 2)(
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))))
-    b = op.HermitianOperator((lambda g: (g + g.conj().T) / 2)(
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))))
-    rep = mo.moments(w, a, b, hbar=cfg.hbar)
+    a, b = (_random_hermitian(dim, rng) for _ in range(2))
+    rep = moments(w, a, b, hbar=cfg.hbar)
     return json.loads(rep.to_json()), {
-        "inin_holds": rep.inin_lhs >= rep.inin_rhs - 1e-9}
+        "inin_holds": rep.inin_lhs >= rep.inin_rhs - 1e-9}, None
 
 
 def _run_entropic(cfg: RunConfig):
@@ -127,14 +75,13 @@ def _run_entropic(cfg: RunConfig):
         "sigma_product_above_hbar_half":
             res["sigma_product"] >= cfg.hbar / 2 - 1e-9,
     }
-    return res, checks
+    return res, checks, None
 
 
 def _run_wigner(cfg: RunConfig):
     psi = _packet(cfg)
     spec = psi.spec
     field = ps.wigner_transform(psi)
-    cell = spec.dp * spec.dq / (2 * math.pi * spec.hbar)
     q_marg = field.values.sum(axis=0) * spec.dp / (2 * math.pi * spec.hbar)
     p_marg = field.values.sum(axis=1) * spec.dq / (2 * math.pi * spec.hbar)
     q_err = float(np.max(np.abs(q_marg - psi.density())))
@@ -167,7 +114,7 @@ def _run_fk(cfg: RunConfig):
         "mc_within_3_stderr":
             abs(report.mc_estimate - sref) <= 3 * report.mc_stderr,
     }
-    return results, checks
+    return results, checks, None
 
 
 def _run_hv(cfg: RunConfig):
@@ -182,7 +129,7 @@ def _run_hv(cfg: RunConfig):
         "matches_analytic":
             abs(res["estimate"] - res["analytic"]) <= 3 * max(res["stderr"], 1e-12),
     }
-    return res, checks
+    return res, checks, None
 
 
 def _run_bell(cfg: RunConfig):
@@ -201,7 +148,7 @@ def _run_bell(cfg: RunConfig):
         "chsh_violated": abs(value) > 2.0,
         "k_squared_identity": identity["identity_residual"] <= 1e-12,
     }
-    return results, checks
+    return results, checks, None
 
 
 def _run_mermin(cfg: RunConfig):
@@ -214,7 +161,7 @@ def _run_mermin(cfg: RunConfig):
     checks = {name: res <= 1e-12 for name, res in residuals.items()}
     checks["no_consistent_assignment"] = search["satisfying_assignments"] == 0
     checks["control_search_nonempty"] = control["satisfying_assignments"] > 0
-    return results, checks
+    return results, checks, None
 
 
 def _run_gleason(cfg: RunConfig):
@@ -235,23 +182,86 @@ def _run_gleason(cfg: RunConfig):
         "additivity_holds": worst <= 1e-10,
         "sgn_measure_not_state_induced": fit_residual > 0.1,
     }
-    return results, checks
+    return results, checks, None
+
+
+# Each runner returns (results, checks, artifact); the artifact is the
+# phase-space field that ``--format csv`` writes, or None.
+SCENARIOS = {
+    "inin": _run_inin,
+    "entropic": _run_entropic,
+    "wigner": _run_wigner,
+    "fk": _run_fk,
+    "hv": _run_hv,
+    "bell": _run_bell,
+    "mermin": _run_mermin,
+    "gleason": _run_gleason,
+}
+
+
+def _reals(text: str) -> tuple:
+    return tuple(float(c) for c in text.split(","))
+
+
+@dataclasses.dataclass
+class RunConfig:
+    """One scenario run.  Each field is also the command-line option
+    ``--<name>`` (underscores as dashes) with the same default; ``metadata``
+    holds the extra argparse keywords."""
+
+    scenario: str = dataclasses.field(metadata={"choices": SCENARIOS})
+    seed: int = 0
+    beta: float = 2.0
+    hbar: float = 1.0
+    mass: float = 1.0
+    grid_n: int = 512
+    grid_length: float = 32.0
+    paths: int = 100_000
+    slices: int = 64
+    potential: tuple = dataclasses.field(default=(0.0, 0.0, 0.5), metadata={
+        "type": _reals,
+        "help": "comma-separated polynomial coefficients, ascending"})
+    vectors: tuple | None = dataclasses.field(default=None, metadata={
+        "type": _reals, "help": "12 comma-separated reals: a, b, c, d"})
+    state: str = "singlet"
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.seed < 0 or self.seed >= 2 ** 64:
+            raise ValueError("seed must fit in 64 unsigned bits")
+        for name in ("beta", "hbar", "mass", "grid_length"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        if self.grid_n < 2 or self.grid_n & (self.grid_n - 1):
+            raise ValueError("grid_n must be a power of two")
+        if self.paths < 2 or self.slices < 2:
+            raise ValueError("paths and slices must be at least 2")
+        if self.vectors is not None and len(self.vectors) != 12:
+            raise ValueError("vectors must hold exactly 12 reals")
+        if not all(map(math.isfinite, [*self.potential, *(self.vectors or ())])):
+            raise ValueError("potential and vectors entries must be finite")
+
+
+@dataclasses.dataclass
+class ReportRecord:
+    scenario: str
+    config: dict
+    results: dict
+    checks: dict
+    wall_time_ms: float
+
+    def to_json(self) -> dict:
+        return dataclasses.asdict(self)
 
 
 def run(cfg: RunConfig) -> tuple[ReportRecord, ps.PhaseSpaceField | None]:
     start = time.perf_counter()
-    field = None
-    if cfg.scenario == "wigner":
-        results, checks, field = _run_wigner(cfg)
-    else:
-        runner = {
-            "inin": _run_inin, "entropic": _run_entropic, "fk": _run_fk,
-            "hv": _run_hv, "bell": _run_bell, "mermin": _run_mermin,
-            "gleason": _run_gleason,
-        }[cfg.scenario]
-        results, checks = runner(cfg)
+    results, checks, field = SCENARIOS[cfg.scenario](cfg)
     elapsed = (time.perf_counter() - start) * 1000
-    record = ReportRecord(cfg.scenario, cfg.echo(), results, checks, elapsed)
+    record = ReportRecord(cfg.scenario, dataclasses.asdict(cfg), results, checks,
+                          elapsed)
     return record, field
 
 
@@ -294,20 +304,14 @@ def emit(record: ReportRecord, fmt: str, path: str | None, force: bool,
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdesk", description="quantum-structure verification scenarios")
-    parser.add_argument("--scenario", required=True, choices=SCENARIOS)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--beta", type=float, default=2.0)
-    parser.add_argument("--hbar", type=float, default=1.0)
-    parser.add_argument("--mass", type=float, default=1.0)
-    parser.add_argument("--grid-n", type=int, default=512)
-    parser.add_argument("--grid-length", type=float, default=32.0)
-    parser.add_argument("--paths", type=int, default=100_000)
-    parser.add_argument("--slices", type=int, default=64)
-    parser.add_argument("--potential", type=str, default="0,0,0.5",
-                        help="comma-separated polynomial coefficients, ascending")
-    parser.add_argument("--vectors", type=str, default=None,
-                        help="12 comma-separated reals: a, b, c, d")
-    parser.add_argument("--state", type=str, default="singlet")
+    for f in dataclasses.fields(RunConfig):
+        kwargs = dict(f.metadata)
+        if f.default is dataclasses.MISSING:
+            kwargs["required"] = True
+        else:
+            kwargs.setdefault("type", type(f.default))
+            kwargs["default"] = f.default
+        parser.add_argument("--" + f.name.replace("_", "-"), **kwargs)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--force", action="store_true")
@@ -317,16 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            scenario=args.scenario, seed=args.seed, beta=args.beta,
-            hbar=args.hbar, mass=args.mass, grid_n=args.grid_n,
-            grid_length=args.grid_length, paths=args.paths,
-            slices=args.slices,
-            potential=tuple(float(c) for c in args.potential.split(",")),
-            vectors=None if args.vectors is None
-            else tuple(float(c) for c in args.vectors.split(",")),
-            state=args.state,
-        )
+        cfg = RunConfig(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(RunConfig)})
     except (ValueError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

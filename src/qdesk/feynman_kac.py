@@ -18,7 +18,7 @@ conditions of the trace formula are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +45,6 @@ class Potential:
     fn: Callable | None = None
     table: tuple | None = None  # (q_values, v_values)
     domain: tuple | None = None
-    smooth: bool = True
 
     def __post_init__(self):
         supplied = sum(x is not None for x in (self.coeffs, self.fn, self.table))
@@ -68,12 +67,12 @@ class Potential:
         return cls(coeffs=tuple(coeffs))
 
     @classmethod
-    def from_callable(cls, fn, domain=None, smooth=True) -> "Potential":
-        return cls(fn=fn, domain=domain, smooth=smooth)
+    def from_callable(cls, fn, domain=None) -> "Potential":
+        return cls(fn=fn, domain=domain)
 
     @classmethod
     def tabulated(cls, q, v) -> "Potential":
-        return cls(table=(q, v), smooth=False)
+        return cls(table=(q, v))
 
     @property
     def is_polynomial(self) -> bool:
@@ -106,9 +105,6 @@ class Potential:
         return lambda q: (self(np.asarray(q) + h) - self(np.asarray(q) - h)) / (2 * h)
 
 
-_DOUBLE_FACT = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0, 10: 945.0}
-
-
 def gauss_transform_potential(v: Potential, tau: float, m: float,
                               hbar: float = 1.0) -> Potential:
     """Heat-semigroup smoothing v_tau = exp((tau hbar^2/24m) d^2/dq^2) v,
@@ -126,9 +122,9 @@ def gauss_transform_potential(v: Potential, tau: float, m: float,
             if ci == 0:
                 continue
             for j in range(0, i + 1, 2):
-                mom = _DOUBLE_FACT.get(j) or math.prod(range(j - 1, 0, -2))
+                mom = math.prod(range(j - 1, 0, -2))  # E[xi^j] = (j-1)!!
                 out[i - j] += ci * math.comb(i, j) * mom * s ** (j / 2)
-        return Potential(coeffs=tuple(out), domain=v.domain, smooth=v.smooth)
+        return Potential(coeffs=tuple(out), domain=v.domain)
     nodes, weights = np.polynomial.hermite_e.hermegauss(64)
     root_s = math.sqrt(s)
     norm = weights.sum()
@@ -144,7 +140,7 @@ def gauss_transform_potential(v: Potential, tau: float, m: float,
             raise ValueError("potential grows too fast for the quadrature")
         return (vals * weights).sum(axis=-1) / norm
 
-    return Potential(fn=smoothed, domain=dom, smooth=v.smooth)
+    return Potential(fn=smoothed, domain=dom)
 
 
 def _decay_radius(v: Potential, beta: float, floor: float = _EXP_FLOOR) -> float:
@@ -161,6 +157,17 @@ def _thermal_lambda(beta: float, m: float, hbar: float) -> float:
     return math.sqrt(2 * math.pi * beta * hbar ** 2 / m)
 
 
+def _quad_grid(vt: Potential, beta: float, n_quad: int = 8193) -> np.ndarray:
+    """q-nodes for int dq e^{-beta v_tau}: the declared domain, else out to
+    where the integrand is under the exp floor."""
+    if vt.domain is not None:
+        lo, hi = vt.domain
+    else:
+        r = _decay_radius(vt, beta)
+        lo, hi = -r, r
+    return np.linspace(lo, hi, n_quad)
+
+
 def classical_partition(v: Potential, beta: float, tau: float, m: float,
                         hbar: float = 1.0, n_quad: int = 8193) -> float:
     """(Pseudo-)classical partition function
@@ -168,12 +175,7 @@ def classical_partition(v: Potential, beta: float, tau: float, m: float,
     if beta <= 0 or m <= 0 or hbar <= 0:
         raise ValueError("beta, m, hbar must be positive")
     vt = gauss_transform_potential(v, tau, m, hbar)
-    if v.domain is not None:
-        lo, hi = v.domain
-    else:
-        r = _decay_radius(vt, beta)
-        lo, hi = -r, r
-    q = np.linspace(lo, hi, n_quad)
+    q = _quad_grid(vt, beta, n_quad)
     integrand = np.exp(-np.clip(beta * vt(q), -_EXP_FLOOR, _EXP_FLOOR))
     if v.domain is None and max(integrand[0], integrand[-1]) > 1e-300:
         raise ValueError("divergent integral: integrand does not vanish at edges")
@@ -240,36 +242,73 @@ def _bisection_schedule(m_slices: int) -> list[tuple[int, int, int]]:
     return schedule
 
 
+def _split_rows(count: int, fill: Callable[[int, int], None]) -> None:
+    """Call ``fill(lo, hi)`` on row ranges that cover [0, count), two at a
+    time on threads (numpy, Philox and ``ndtri`` release the GIL).  Path
+    rows are independent, so the split changes no value.  ``fill`` writes
+    into arrays allocated by the caller: memory a worker thread allocates
+    stays with its malloc arena and would raise the process's peak RSS."""
+    if count < 2:
+        fill(0, count)
+        return
+    # imported here: only the path sampler needs it
+    from concurrent.futures import ThreadPoolExecutor
+    half = count // 2
+    with ThreadPoolExecutor(2) as pool:
+        for job in [pool.submit(fill, 0, half), pool.submit(fill, half, count)]:
+            job.result()
+
+
 def _bridges_from_normals(beta: float, m_slices: int, m: float, hbar: float,
                           normals: np.ndarray) -> np.ndarray:
     """Lévy midpoint construction, vectorized over the leading axis of
     ``normals`` (shape: n_paths x (m_slices - 1))."""
     n_paths = normals.shape[0]
     dtau = beta / m_slices
-    w = np.zeros((n_paths, m_slices + 1))
-    for col, (lo, mid, hi) in enumerate(_bisection_schedule(m_slices)):
-        tl, tm, th = lo * dtau, mid * dtau, hi * dtau
-        mean = ((th - tm) * w[:, lo] + (tm - tl) * w[:, hi]) / (th - tl)
-        var = (hbar ** 2 / m) * (tm - tl) * (th - tm) / (th - tl)
-        w[:, mid] = mean + math.sqrt(var) * normals[:, col]
+    schedule = _bisection_schedule(m_slices)
+    # built slice-major so every time slice is one contiguous row; the
+    # arithmetic is the same element by element, only the layout differs
+    wt = np.zeros((m_slices + 1, n_paths))
+    nt = np.empty((m_slices - 1, n_paths))
+    w = np.empty((n_paths, m_slices + 1))
+
+    def fill(lo: int, hi: int) -> None:
+        nt[:, lo:hi] = normals[lo:hi].T
+        for col, (left, mid, right) in enumerate(schedule):
+            tl, tm, th = left * dtau, mid * dtau, right * dtau
+            mean = ((th - tm) * wt[left, lo:hi]
+                    + (tm - tl) * wt[right, lo:hi]) / (th - tl)
+            var = (hbar ** 2 / m) * (tm - tl) * (th - tm) / (th - tl)
+            wt[mid, lo:hi] = mean + math.sqrt(var) * nt[col, lo:hi]
+        w[lo:hi] = wt[:, lo:hi].T
+
+    _split_rows(n_paths, fill)
     return w
 
 
 def _path_normals(m_slices: int, seed: int, start: int, count: int) -> np.ndarray:
     """Standard normals for paths [start, start+count); path k is a pure
     function of (seed, k) via a counter-based stream and fixed block layout."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
     n_cols = m_slices - 1
     # Philox advances in counter blocks of 4 draws; give each path a
     # 4-aligned block so path k is addressable independently of batching.
     block = 4 * ((n_cols + 3) // 4)
-    if start:
-        gen.bit_generator.advance(start * block // 4)
-    raw = gen.random((count, block))[:, :n_cols]
     # imported here: scipy.special is slow to import and only the path
     # sampler needs it
     from scipy.special import ndtri
-    return ndtri(np.clip(raw, 1e-300, 1 - 1e-16))
+    raw = np.empty((count, block))
+    out = np.empty((count, n_cols))
+
+    def fill(lo: int, hi: int) -> None:
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        if start + lo:
+            gen.bit_generator.advance((start + lo) * block // 4)
+        gen.random(out=raw[lo:hi])
+        np.clip(raw[lo:hi], 1e-300, 1 - 1e-16, out=raw[lo:hi])
+        ndtri(raw[lo:hi, :n_cols], out=out[lo:hi])
+
+    _split_rows(count, fill)
+    return out
 
 
 def sample_bridge(beta: float, m_slices: int, m: float = 1.0, hbar: float = 1.0,
@@ -291,6 +330,23 @@ def sample_bridge_ensemble(beta: float, m_slices: int, n_paths: int,
         raise ValueError("m_slices must be at least 2")
     normals = _path_normals(m_slices, seed, 0, n_paths)
     return _bridges_from_normals(beta, m_slices, m, hbar, normals)
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in row blocks small enough that OpenBLAS computes each on
+    the calling thread.  It hands a larger product (above about 9e3 cells
+    times a vector, 2.6e5 multiply-adds times a matrix) to worker threads,
+    which then spin for ~0.1 s and take the core that the path sampler's
+    threads need.  Blocks are whole multiples of four rows, the row group
+    of OpenBLAS's kernels, so a row's value does not depend on where the
+    blocks fall."""
+    per_row = a.shape[1] if b.ndim == 1 else a.shape[1] * b.shape[1]
+    budget = 8192 if b.ndim == 1 else 65536
+    rows = max(4, budget // per_row // 4 * 4)
+    out = np.empty(a.shape[:1] + b.shape[1:])
+    for lo in range(0, len(a), rows):
+        out[lo:lo + rows] = a[lo:lo + rows] @ b
+    return out
 
 
 def _q_grid(v: Potential, beta: float, m: float, hbar: float,
@@ -335,7 +391,7 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
             tw = np.full(m_slices + 1, dtau)
             tw[0] = tw[-1] = dtau / 2
             for p in range(deg + 1):
-                s[:, p] = (w ** p) @ tw
+                s[:, p] = _serial_matmul(w ** p, tw)
             qc = np.zeros((count, deg + 1))  # action coefficients in q
             for i, ci in enumerate(v.coeffs):
                 if ci == 0:
@@ -343,7 +399,7 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
                 for j in range(i + 1):
                     qc[:, i - j] += ci * math.comb(i, j) * s[:, j]
             qpow = np.vander(q, deg + 1, increasing=True)  # (n_q, deg+1)
-            action = qc @ qpow.T
+            action = _serial_matmul(qc, qpow.T)
         else:
             action = np.zeros((count, len(q)))
             for j in range(m_slices + 1):
@@ -354,12 +410,25 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
                 action += weight * v(pos)
         # exp dominates the run time; a shifted single-precision evaluation
         # is ~10x faster and its ~1e-6 relative error is far below the
-        # statistical error of any feasible path count
-        np.clip(action, -_EXP_FLOOR, _EXP_FLOOR, out=action)
-        shift = float(action.min())
-        boltz = np.exp((shift - action).astype(np.float32))
+        # statistical error of any feasible path count.  Both passes run in
+        # row blocks that stay in cache.
+        rows = 512
+        block_mins = []
+        for lo in range(0, count, rows):
+            block = action[lo:lo + rows]
+            np.clip(block, -_EXP_FLOOR, _EXP_FLOOR, out=block)
+            block_mins.append(block.min())
+        shift = float(np.min(block_mins))
         scale = float(np.exp(np.float64(-shift))) * dq / lam
-        values[start:start + count] = boltz.sum(axis=1, dtype=np.float64) * scale
+        boltz = np.empty((min(rows, count), len(q)), np.float32)
+        for lo in range(0, count, rows):
+            block = action[lo:lo + rows]
+            weights = boltz[:len(block)]
+            # the difference is taken in float64 and rounded once to float32
+            np.subtract(shift, block, out=weights, casting="same_kind")
+            np.exp(weights, out=weights)
+            values[start + lo:start + lo + len(block)] = \
+                weights.sum(axis=1, dtype=np.float64) * scale
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_paths))
     return estimate, stderr
@@ -424,22 +493,19 @@ def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
 
 def bound_check(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
                 m_slices: int = 64, n_paths: int = 100_000, seed: int = 0,
-                spec: GridSpec | None = None,
-                with_spectral: bool = True) -> PartitionReport:
+                spec: GridSpec | None = None) -> PartitionReport:
     """Assemble the sandwich z(beta,beta) <= tr e^{-beta H} <= z(beta,0)
-    with the MC estimate and, when grid-feasible, the spectral reference
-    and the matching tau*."""
+    with the MC estimate, the spectral reference and, for a non-constant
+    potential whose reference lies inside the sandwich, the matching tau*."""
     if spec is not None and spec.hbar != hbar:
         raise ValueError("spec.hbar must equal hbar")
     z_upper = classical_partition(v, beta, 0.0, m, hbar)
     z_lower = classical_partition(v, beta, beta, m, hbar)
     estimate, stderr = fk_mc_partition(v, beta, m, hbar, m_slices, n_paths, seed)
-    spectral = None
+    spectral = spectral_partition(v, beta, spec, m, hbar)
     ts = None
-    if with_spectral:
-        spectral = spectral_partition(v, beta, spec, m, hbar)
-        if not v.is_constant and z_lower <= spectral < z_upper:
-            ts = tau_star(v, beta, m, hbar, z_target=spectral)
+    if not v.is_constant and z_lower <= spectral < z_upper:
+        ts = tau_star(v, beta, m, hbar, z_target=spectral)
     return PartitionReport(beta, z_upper, z_lower, estimate, stderr, spectral, ts)
 
 
@@ -462,11 +528,7 @@ def monotonicity_check(v: Potential, beta: float, m: float = 1.0,
             continue
         vt = gauss_transform_potential(v, t, m, hbar)
         dvt = vt.derivative()
-        if v.domain is not None:
-            q = np.linspace(v.domain[0], v.domain[1], 8193)
-        else:
-            r = _decay_radius(vt, beta)
-            q = np.linspace(-r, r, 8193)
+        q = _quad_grid(vt, beta)
         integrand = np.exp(-np.clip(beta * vt(q), -_EXP_FLOOR, _EXP_FLOOR)) \
             * np.asarray(dvt(q)) ** 2
         formula = -(beta * lam / (48 * math.pi)) * float(np.trapezoid(integrand, q))

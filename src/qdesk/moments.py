@@ -14,6 +14,7 @@ import numpy as np
 from .operators import (
     DensityOperator,
     HermitianOperator,
+    _as_matrix,
     eigh,
     partial_trace,
     standardized_commutator,
@@ -28,12 +29,10 @@ __all__ = [
     "gibbs_state",
     "luders_collapse",
     "purify",
+    "purification_roundtrip",
     "free_moment_evolution",
+    "covariance_sign_change_time",
 ]
-
-
-def _mat(a) -> np.ndarray:
-    return np.asarray(getattr(a, "matrix", a), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class FreeMoments:
 
 def expectation(w: DensityOperator, a) -> float:
     """tr(WA), with a guard on the imaginary rounding residue."""
-    wm, am = _mat(w), _mat(a)
+    wm, am = _as_matrix(w), _as_matrix(a)
     if wm.shape != am.shape:
         raise ValueError("dimension mismatch between state and observable")
     val = complex(np.trace(wm @ am))
@@ -94,7 +93,7 @@ def moments(w: DensityOperator, a, b, hbar: float = 1.0) -> MomentReport:
     variance indeterminacy inequality for a pair of observables."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    am, bm = _mat(a), _mat(b)
+    am, bm = _as_matrix(a), _as_matrix(b)
     mean_a = expectation(w, am)
     mean_b = expectation(w, bm)
     var_a = expectation(w, am @ am) - mean_a ** 2
@@ -118,10 +117,10 @@ def moments(w: DensityOperator, a, b, hbar: float = 1.0) -> MomentReport:
     )
 
 
-def entropy(w: DensityOperator) -> float:
-    """von Neumann entropy -tr(W ln W) with the 0 ln 0 := 0 convention."""
-    evs = np.linalg.eigvalsh(w.matrix)
-    evs = np.clip(evs, 0.0, None)
+def entropy(w) -> float:
+    """von Neumann entropy -tr(W ln W) of a density operator or a density
+    matrix, with the 0 ln 0 := 0 convention."""
+    evs = np.clip(np.linalg.eigvalsh(_as_matrix(w)), 0.0, None)
     pos = evs[evs > 0]
     return float(-np.sum(pos * np.log(pos)))
 
@@ -141,7 +140,7 @@ def gibbs_state(h, beta: float) -> DensityOperator:
 
 def luders_collapse(w: DensityOperator, e, collapse_tol: float = 1e-12) -> DensityOperator:
     """State update W -> EWE / tr(WE) after observing the event E."""
-    em = _mat(e)
+    em = _as_matrix(e)
     prob = float(np.trace(w.matrix @ em).real)
     if prob <= collapse_tol:
         raise ValueError(f"impossible outcome: tr(WE) = {prob:.3e} <= {collapse_tol:.0e}")

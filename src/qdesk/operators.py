@@ -8,7 +8,7 @@ construction, so instances can be shared freely between workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "partial_trace",
     "commutator",
     "anticommutator",
+    "standardized_commutator",
     "lattice_meet",
     "gleason_additivity_check",
     "matrix_to_json",
@@ -33,9 +34,14 @@ def _as_matrix(a) -> np.ndarray:
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN/Inf entries")
     return m
+
+
+def _asymmetry(m: np.ndarray) -> float:
+    """max |M - M^dagger|, 0 for an empty matrix."""
+    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class HermitianOperator:
     def __post_init__(self):
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        asym = _asymmetry(m)
         if asym > self.hermiticity_tol:
             raise ValueError(
                 f"matrix is not Hermitian: max asymmetry {asym:.3e} "
@@ -114,13 +120,11 @@ class SpectralResolution:
 
 
 def eigh(a) -> SpectralResolution:
-    """Hermitian eigendecomposition, rejecting visibly non-Hermitian input."""
-    m = _as_matrix(a)
-    tol = getattr(a, "hermiticity_tol", 1e-12)
-    asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym > max(tol, 1e-12):
-        raise ValueError(f"eigh requires a Hermitian matrix (asymmetry {asym:.3e})")
-    w, v = np.linalg.eigh(m)
+    """Hermitian eigendecomposition; input that is not already a
+    ``HermitianOperator`` is certified as one first."""
+    if not isinstance(a, HermitianOperator):
+        a = HermitianOperator(a)
+    w, v = np.linalg.eigh(a.matrix)
     return SpectralResolution(eigenvalues=w, eigenvectors=v)
 
 def func_of(a, f) -> HermitianOperator:
@@ -190,7 +194,7 @@ def standardized_commutator(a, b, hbar: float) -> np.ndarray:
 
 
 def _check_projection(e: np.ndarray, tol: float, name: str):
-    if np.max(np.abs(e - e.conj().T)) > tol:
+    if _asymmetry(e) > tol:
         raise ValueError(f"{name} is not Hermitian within {tol}")
     if np.max(np.abs(e @ e - e)) > max(tol, 1e-9):
         raise ValueError(f"{name} is not idempotent within {tol}")

@@ -20,7 +20,8 @@ __all__ = [
     "SX", "SY", "SZ", "PAULI",
     "SpinObservable", "BlochState", "SphereMeasureFn",
     "spin_matrix", "spin_decompose", "pauli_product", "projection_e",
-    "measure_eval", "hv_value", "hv_expectation", "hv_consistency",
+    "measure_eval", "hv_value", "hv_analytic_expectation", "hv_expectation",
+    "hv_consistency",
     "sample_sphere", "linear_fit_residual",
 ]
 
@@ -34,6 +35,20 @@ _ID2 = np.eye(2, dtype=complex)
 def _sgn(x: float) -> float:
     """Sign with the convention sgn(0) = 1."""
     return 1.0 if x >= 0 else -1.0
+
+
+def _pauli_sum(c0: float, v) -> np.ndarray:
+    """c0 I + v.S as a 2x2 matrix."""
+    return c0 * _ID2 + v[0] * SX + v[1] * SY + v[2] * SZ
+
+
+def _unit(v, name: str) -> np.ndarray:
+    """``v`` as a float array, rejected unless |v| = 1 within 1e-10."""
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN
+        raise ValueError(f"{name} must be a unit vector (|{name}| = {norm})")
+    return v
 
 
 @dataclass(frozen=True)
@@ -67,8 +82,7 @@ class BlochState:
             raise ValueError(f"Bloch vector has |p| = {np.linalg.norm(p)} > 1")
 
     def matrix(self) -> np.ndarray:
-        p = self.p_vec
-        return 0.5 * (_ID2 + p[0] * SX + p[1] * SY + p[2] * SZ)
+        return 0.5 * _pauli_sum(1.0, self.p_vec)
 
     @property
     def is_pure(self) -> bool:
@@ -94,17 +108,13 @@ class SphereMeasureFn:
 
 
 def spin_matrix(obs: SpinObservable) -> HermitianOperator:
-    a = obs.a_vec
-    m = obs.a0 * _ID2 + a[0] * SX + a[1] * SY + a[2] * SZ
-    return HermitianOperator(m)
+    return HermitianOperator(_pauli_sum(obs.a0, obs.a_vec))
 
 
 def spin_decompose(a) -> SpinObservable:
-    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
+    m = HermitianOperator(a, hermiticity_tol=1e-10).matrix
     if m.shape != (2, 2):
         raise ValueError("spin_decompose expects a 2x2 matrix")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("spin_decompose expects a Hermitian matrix")
     a0 = 0.5 * np.trace(m).real
     a_vec = tuple(0.5 * np.trace(m @ s).real for s in PAULI)
     return SpinObservable(a0=float(a0), a_vec=a_vec)
@@ -119,18 +129,12 @@ def pauli_product(a_vec, b_vec) -> tuple[float, np.ndarray]:
 
 def projection_e(e_vec) -> HermitianOperator:
     """Rank-1 projection E = (I + e.S)/2 for a unit vector e."""
-    e = np.asarray(e_vec, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-10:
-        raise ValueError(f"|e| = {np.linalg.norm(e)} is not 1")
-    m = 0.5 * (_ID2 + e[0] * SX + e[1] * SY + e[2] * SZ)
-    return HermitianOperator(m)
+    return HermitianOperator(0.5 * _pauli_sum(1.0, _unit(e_vec, "e")))
 
 
 def measure_eval(mfn: SphereMeasureFn, e_vec) -> float:
     """mu(E) = (1 + m(e))/2 for the projection direction e."""
-    e = np.asarray(e_vec, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-10:
-        raise ValueError("measure_eval requires a unit vector")
+    e = _unit(e_vec, "e")
     anti = abs(mfn(e) + mfn(-e))
     if anti > mfn.antisymmetry_tol:
         raise ValueError(f"m is not antisymmetric at e (residual {anti:.3e})")
@@ -151,9 +155,7 @@ def linear_fit_residual(mfn: SphereMeasureFn, n_dirs: int = 200, seed: int = 0) 
 def hv_value(obs: SpinObservable, state: BlochState, omega) -> float:
     """Hidden-variable value a0 + |a| sgn((p + omega) . a); always one of
     the two eigenvalues a0 +- |a|."""
-    om = np.asarray(omega, dtype=float)
-    if abs(np.linalg.norm(om) - 1.0) > 1e-10:
-        raise ValueError("omega must be a unit vector")
+    om = _unit(omega, "omega")
     a = np.asarray(obs.a_vec, dtype=float)
     p = np.asarray(state.p_vec, dtype=float)
     return obs.a0 + obs.radius * _sgn(float((p + om) @ a))

@@ -1,5 +1,6 @@
 """Tests for the scenario runner command."""
 
+import dataclasses
 import json
 import math
 import os
@@ -84,6 +85,30 @@ class TestDeterminism:
         assert json.loads(out_a)["results"] != json.loads(out_b)["results"]
 
 
+class TestConfigEcho:
+    def test_defaults_are_run_config_defaults(self, capsys):
+        _, out = run_cli(capsys, "--scenario", "mermin")
+        expected = json.loads(json.dumps(dataclasses.asdict(cli.RunConfig("mermin"))))
+        assert json.loads(out)["config"] == expected
+
+    def test_every_field_from_the_command_line(self, capsys):
+        s = 0.5 ** 0.5
+        vectors = (0, 1, 0, 1, 0, 0, s, s, 0, -s, s, 0)
+        code, out = run_cli(
+            capsys, "--scenario", "bell", "--seed", "7", "--beta", "1.5",
+            "--hbar", "0.5", "--mass", "2", "--grid-n", "128",
+            "--grid-length", "24", "--paths", "2000", "--slices", "32",
+            "--potential", "0,0,1", "--vectors", ",".join(map(repr, vectors)),
+            "--state", "werner:0.5")
+        assert code == 1  # a Werner state with x = 0.5 < 1/sqrt(2) obeys CHSH
+        assert json.loads(out)["config"] == {
+            "scenario": "bell", "seed": 7, "beta": 1.5, "hbar": 0.5,
+            "mass": 2.0, "grid_n": 128, "grid_length": 24.0, "paths": 2000,
+            "slices": 32, "potential": [0.0, 0.0, 1.0],
+            "vectors": [float(x) for x in vectors], "state": "werner:0.5",
+        }
+
+
 class TestOutputs:
     def test_json_file_output(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -146,11 +171,23 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "--scenario", "bell", "--state", "ghz")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--scenario", "entropic", "--hbar", "nan"),
+        ("--scenario", "inin", "--hbar", "inf"),
+        ("--scenario", "wigner", "--grid-n", "64", "--grid-length", "inf"),
+        ("--scenario", "fk", "--beta", "nan"),
+        ("--scenario", "fk", "--mass", "inf"),
+        ("--scenario", "fk", "--potential", "0,0,nan"),
+    ])
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+
     def test_check_failure_exits_1(self, capsys, monkeypatch):
         def failing(cfg):
-            return {"value": 0.0}, {"always_fails": False}
+            return {"value": 0.0}, {"always_fails": False}, None
 
-        monkeypatch.setitem(cli.__dict__, "_run_mermin", failing)
+        monkeypatch.setitem(cli.SCENARIOS, "mermin", failing)
         code, out = run_cli(capsys, "--scenario", "mermin")
         assert code == 1
 
@@ -158,7 +195,7 @@ class TestExitCodes:
         def broken(cfg):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli.__dict__, "_run_mermin", broken)
+        monkeypatch.setitem(cli.SCENARIOS, "mermin", broken)
         code, _ = run_cli(capsys, "--scenario", "mermin")
         assert code == 3
 

@@ -1,6 +1,7 @@
 """Tests for the path-integral partition-function bounds and MC estimator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qdesk.feynman_kac import (
     BridgePath,
     Potential,
+    _serial_matmul,
     bound_check,
     classical_partition,
     fk_mc_partition,
@@ -123,6 +125,20 @@ class TestBridges:
             single = sample_bridge(2.0, 64, seed=9, path_index=k)
             assert np.max(np.abs(ens[k] - single.slices)) == 0.0
 
+    def test_thread_split_matches_single_paths_under_fast_switching(self):
+        # the sampler fills two row halves on threads; with the interpreter
+        # switching threads every microsecond, every row must still equal
+        # the path sampled on its own
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ens = sample_bridge_ensemble(2.0, 16, 41, seed=3)
+        finally:
+            sys.setswitchinterval(old)
+        for k in range(41):
+            single = sample_bridge(2.0, 16, seed=3, path_index=k)
+            assert np.array_equal(ens[k], single.slices)
+
     def test_midpoint_covariance(self):
         # var w(beta/2) = (hbar^2/m)(beta/4)
         beta = 2.0
@@ -151,6 +167,19 @@ class TestMonteCarlo:
         full = fk_mc_partition(HARMONIC, 2.0, n_paths=1_000, seed=8)
         again = fk_mc_partition(HARMONIC, 2.0, n_paths=1_000, seed=8)
         assert full == again
+
+    @pytest.mark.parametrize("n_rows", [5_003, 20_000])
+    def test_blocked_products_match_four_row_products(self, n_rows):
+        # a row's value must not depend on where the row blocks fall
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((n_rows, 65))
+        tw = rng.standard_normal(65)
+        groups = [w[i:i + 4] @ tw for i in range(0, n_rows, 4)]
+        assert np.array_equal(_serial_matmul(w, tw), np.concatenate(groups))
+        qc = rng.standard_normal((n_rows, 5))
+        qpow = rng.standard_normal((161, 5))
+        groups = [qc[i:i + 4] @ qpow.T for i in range(0, n_rows, 4)]
+        assert np.array_equal(_serial_matmul(qc, qpow.T), np.concatenate(groups))
 
     def test_callable_matches_polynomial_path(self):
         v = Potential.from_callable(lambda q: 0.5 * q ** 2)

@@ -1,0 +1,49 @@
+"""Static checks on the package source, with the standard library's ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PKG = Path(__file__).resolve().parents[1] / "src" / "qdesk"
+MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def declared_all(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_exports_are_in_module_all():
+    missing = []
+    for node in parse(PKG / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exported = declared_all(parse(PKG / f"{node.module}.py"))
+            missing += [f"{node.module}.{a.name}" for a in node.names
+                        if a.name not in exported]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_module_level_import(path):
+    tree = parse(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= declared_all(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in used)
+    assert unused == []

@@ -93,6 +93,7 @@ class TestEntropyAndGibbs:
     def test_entropy_of_maximally_mixed(self):
         w = DensityOperator(HermitianOperator(np.eye(4) / 4))
         assert abs(entropy(w) - np.log(4)) < 1e-12
+        assert entropy(w.matrix) == entropy(w)
 
     def test_gibbs_state_two_level(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))

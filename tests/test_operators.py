@@ -53,6 +53,10 @@ class TestContainers:
         with pytest.raises(ValueError, match="NaN"):
             HermitianOperator(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
+    def test_hermitian_accepts_transposed_view(self):
+        m = random_hermitian(3, np.random.default_rng(5)).matrix
+        assert np.array_equal(HermitianOperator(m.T).matrix, m.T)
+
     def test_density_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(HermitianOperator(np.eye(2)))

@@ -60,6 +60,18 @@ class TestAlgebra:
         assert abs(np.trace(p).real - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("vec", [(0.0, 0.0, 1.1), (0.0, 0.0, float("nan"))])
+@pytest.mark.parametrize("use", [
+    projection_e,
+    lambda e: measure_eval(SphereMeasureFn(lambda x: _sgn(x[2])), e),
+    lambda e: hv_value(SpinObservable(0.0, (0.0, 0.0, 1.0)),
+                       BlochState((0.0, 0.0, 0.0)), e),
+], ids=["projection_e", "measure_eval", "hv_value"])
+def test_direction_must_be_unit(use, vec):
+    with pytest.raises(ValueError, match="unit vector"):
+        use(np.array(vec))
+
+
 class TestBlochState:
     def test_rejects_outside_ball(self):
         with pytest.raises(ValueError):
