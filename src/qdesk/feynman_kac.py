@@ -18,6 +18,7 @@ conditions of the trace formula are out of scope.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 _EXP_FLOOR = 720.0  # beta*v beyond this puts e^{-beta v} under 1e-300
+_BLOCK_PATHS = 512  # Monte Carlo paths per block; a block's arrays stay in L2
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,15 @@ class Potential:
             d = npoly.polyder(self.coeffs)
             return lambda q: npoly.polyval(np.asarray(q, dtype=float), d)
         h = 1e-5
-        return lambda q: (self(np.asarray(q) + h) - self(np.asarray(q) - h)) / (2 * h)
+        lo, hi = self.domain if self.domain is not None else (-np.inf, np.inf)
+
+        def central(q):
+            # one-sided at the domain's ends: the steps stay inside it
+            q = np.asarray(q, dtype=float)
+            up, down = np.minimum(q + h, hi), np.maximum(q - h, lo)
+            return (self(up) - self(down)) / (up - down)
+
+        return central
 
 
 def gauss_transform_potential(v: Potential, tau: float, m: float,
@@ -157,25 +167,25 @@ def _thermal_lambda(beta: float, m: float, hbar: float) -> float:
     return math.sqrt(2 * math.pi * beta * hbar ** 2 / m)
 
 
-def _quad_grid(vt: Potential, beta: float, n_quad: int = 8193) -> np.ndarray:
-    """q-nodes for int dq e^{-beta v_tau}: the declared domain, else out to
-    where the integrand is under the exp floor."""
+def _quad_grid(vt: Potential, beta: float) -> np.ndarray:
+    """8193 q-nodes for int dq e^{-beta v_tau}: the declared domain, else out
+    to where the integrand is under the exp floor."""
     if vt.domain is not None:
         lo, hi = vt.domain
     else:
         r = _decay_radius(vt, beta)
         lo, hi = -r, r
-    return np.linspace(lo, hi, n_quad)
+    return np.linspace(lo, hi, 8193)
 
 
 def classical_partition(v: Potential, beta: float, tau: float, m: float,
-                        hbar: float = 1.0, n_quad: int = 8193) -> float:
+                        hbar: float = 1.0) -> float:
     """(Pseudo-)classical partition function
     z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)}."""
     if beta <= 0 or m <= 0 or hbar <= 0:
         raise ValueError("beta, m, hbar must be positive")
     vt = gauss_transform_potential(v, tau, m, hbar)
-    q = _quad_grid(vt, beta, n_quad)
+    q = _quad_grid(vt, beta)
     integrand = np.exp(-np.clip(beta * vt(q), -_EXP_FLOOR, _EXP_FLOOR))
     if v.domain is None and max(integrand[0], integrand[-1]) > 1e-300:
         raise ValueError("divergent integral: integrand does not vanish at edges")
@@ -242,83 +252,62 @@ def _bisection_schedule(m_slices: int) -> list[tuple[int, int, int]]:
     return schedule
 
 
-def _split_rows(count: int, fill: Callable[[int, int], None]) -> None:
-    """Call ``fill(lo, hi)`` on row ranges that cover [0, count), two at a
-    time on threads (numpy, Philox and ``ndtri`` release the GIL).  Path
-    rows are independent, so the split changes no value.  ``fill`` writes
-    into arrays allocated by the caller: memory a worker thread allocates
-    stays with its malloc arena and would raise the process's peak RSS."""
-    if count < 2:
-        fill(0, count)
-        return
-    # imported here: only the path sampler needs it
-    from concurrent.futures import ThreadPoolExecutor
-    half = count // 2
-    with ThreadPoolExecutor(2) as pool:
-        for job in [pool.submit(fill, 0, half), pool.submit(fill, half, count)]:
-            job.result()
-
-
-def _bridges_from_normals(beta: float, m_slices: int, m: float, hbar: float,
-                          normals: np.ndarray) -> np.ndarray:
-    """Lévy midpoint construction, vectorized over the leading axis of
-    ``normals`` (shape: n_paths x (m_slices - 1))."""
-    n_paths = normals.shape[0]
+def _levy_matrix(beta: float, m_slices: int, m: float, hbar: float) -> np.ndarray:
+    """(m_slices+1) x (m_slices-1) matrix L of the Lévy midpoint
+    construction: the bridge driven by standard normals z is w = L z.  Row
+    ``mid`` is the construction run on unit vectors, column ``col`` being
+    the normal that schedule entry ``col`` consumes."""
     dtau = beta / m_slices
-    schedule = _bisection_schedule(m_slices)
-    # built slice-major so every time slice is one contiguous row; the
-    # arithmetic is the same element by element, only the layout differs
-    wt = np.zeros((m_slices + 1, n_paths))
-    nt = np.empty((m_slices - 1, n_paths))
-    w = np.empty((n_paths, m_slices + 1))
-
-    def fill(lo: int, hi: int) -> None:
-        nt[:, lo:hi] = normals[lo:hi].T
-        for col, (left, mid, right) in enumerate(schedule):
-            tl, tm, th = left * dtau, mid * dtau, right * dtau
-            mean = ((th - tm) * wt[left, lo:hi]
-                    + (tm - tl) * wt[right, lo:hi]) / (th - tl)
-            var = (hbar ** 2 / m) * (tm - tl) * (th - tm) / (th - tl)
-            wt[mid, lo:hi] = mean + math.sqrt(var) * nt[col, lo:hi]
-        w[lo:hi] = wt[:, lo:hi].T
-
-    _split_rows(n_paths, fill)
-    return w
+    levy = np.zeros((m_slices + 1, m_slices - 1))
+    for col, (left, mid, right) in enumerate(_bisection_schedule(m_slices)):
+        tl, tm, th = left * dtau, mid * dtau, right * dtau
+        # rows left and right use only earlier columns, so column col is 0
+        levy[mid] = ((th - tm) * levy[left] + (tm - tl) * levy[right]) / (th - tl)
+        levy[mid, col] = math.sqrt((hbar ** 2 / m) * (tm - tl) * (th - tm) / (th - tl))
+    return levy
 
 
-def _path_normals(m_slices: int, seed: int, start: int, count: int) -> np.ndarray:
-    """Standard normals for paths [start, start+count); path k is a pure
-    function of (seed, k) via a counter-based stream and fixed block layout."""
-    n_cols = m_slices - 1
-    # Philox advances in counter blocks of 4 draws; give each path a
-    # 4-aligned block so path k is addressable independently of batching.
-    block = 4 * ((n_cols + 3) // 4)
+def _ceil4(n: int) -> int:
+    """``n`` rounded up to a multiple of four."""
+    return -(-n // 4) * 4
+
+
+def _path_normals(m_slices: int, seed: int, start: int, raw: np.ndarray) -> np.ndarray:
+    """Standard normals for paths [start, start+len(raw)), computed in place
+    in ``raw`` (a row of ``_ceil4(m_slices - 1)`` uniforms per path; Philox
+    advances in counter blocks of 4 draws, so each path gets a 4-aligned
+    block); returns the view of the m_slices-1 used columns.  Path k is a
+    pure function of (seed, k) via the counter-based stream."""
     # imported here: scipy.special is slow to import and only the path
     # sampler needs it
     from scipy.special import ndtri
-    raw = np.empty((count, block))
-    out = np.empty((count, n_cols))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    if start:
+        gen.bit_generator.advance(start * raw.shape[1] // 4)
+    gen.random(out=raw)
+    np.clip(raw, 1e-300, 1 - 1e-16, out=raw)
+    normals = raw[:, :m_slices - 1]
+    return ndtri(normals, out=normals)
 
-    def fill(lo: int, hi: int) -> None:
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        if start + lo:
-            gen.bit_generator.advance((start + lo) * block // 4)
-        gen.random(out=raw[lo:hi])
-        np.clip(raw[lo:hi], 1e-300, 1 - 1e-16, out=raw[lo:hi])
-        ndtri(raw[lo:hi, :n_cols], out=out[lo:hi])
 
-    _split_rows(count, fill)
-    return out
+def _bridge_rows(beta: float, m_slices: int, m: float, hbar: float, seed: int,
+                 start: int, count: int) -> np.ndarray:
+    """Bridges w = z Lᵀ of paths [start, start+count) as rows.  The product
+    runs on a multiple of four rows, the row group of OpenBLAS's kernels,
+    the paths after the range filling the last group: a one-row product
+    takes BLAS's dot or matrix-vector kernel, whose rounding differs, and
+    a path's bridge would depend on how many paths share the product."""
+    if m_slices < 2:
+        raise ValueError("m_slices must be at least 2")
+    levy = _levy_matrix(beta, m_slices, m, hbar)
+    raw = np.empty((_ceil4(count), _ceil4(m_slices - 1)))
+    return _serial_matmul(_path_normals(m_slices, seed, start, raw), levy.T)[:count]
 
 
 def sample_bridge(beta: float, m_slices: int, m: float = 1.0, hbar: float = 1.0,
                   seed: int = 0, path_index: int = 0) -> BridgePath:
     """One pinned bridge; deterministic in (seed, path_index)."""
-    if m_slices < 2:
-        raise ValueError("m_slices must be at least 2")
-    normals = _path_normals(m_slices, seed, path_index, 1)
-    w = _bridges_from_normals(beta, m_slices, m, hbar, normals)
-    return BridgePath(beta, w[0])
+    return BridgePath(beta, _bridge_rows(beta, m_slices, m, hbar, seed, path_index, 1)[0])
 
 
 def sample_bridge_ensemble(beta: float, m_slices: int, n_paths: int,
@@ -326,26 +315,26 @@ def sample_bridge_ensemble(beta: float, m_slices: int, n_paths: int,
                            seed: int = 0) -> np.ndarray:
     """(n_paths, m_slices+1) array of bridge values; row k equals
     sample_bridge(..., path_index=k)."""
-    if m_slices < 2:
-        raise ValueError("m_slices must be at least 2")
-    normals = _path_normals(m_slices, seed, 0, n_paths)
-    return _bridges_from_normals(beta, m_slices, m, hbar, normals)
+    return _bridge_rows(beta, m_slices, m, hbar, seed, 0, n_paths)
 
 
-def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` in row blocks small enough that OpenBLAS computes each on
-    the calling thread.  It hands a larger product (above about 9e3 cells
-    times a vector, 2.6e5 multiply-adds times a matrix) to worker threads,
-    which then spin for ~0.1 s and take the core that the path sampler's
-    threads need.  Blocks are whole multiples of four rows, the row group
-    of OpenBLAS's kernels, so a row's value does not depend on where the
-    blocks fall."""
+def _serial_matmul(a: np.ndarray, b: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` in row blocks of at most 65536 multiply-adds (8192 cells
+    times a vector), into ``out`` if given.  OpenBLAS computes a product
+    that small with its small-matrix kernel on the calling thread.  A
+    larger one goes to its blocked kernel, whose rounding differs, and
+    then to worker threads, which spin for ~0.1 s after every product and
+    take the core that the path sampler's other thread needs.  Blocks are
+    whole multiples of four rows, the row group of OpenBLAS's kernels, so
+    a row's value does not depend on where the blocks fall."""
     per_row = a.shape[1] if b.ndim == 1 else a.shape[1] * b.shape[1]
     budget = 8192 if b.ndim == 1 else 65536
-    rows = max(4, budget // per_row // 4 * 4)
-    out = np.empty(a.shape[:1] + b.shape[1:])
+    rows = max(4, budget // max(per_row, 1) // 4 * 4)
+    if out is None:
+        out = np.empty(a.shape[:1] + b.shape[1:])
     for lo in range(0, len(a), rows):
-        out[lo:lo + rows] = a[lo:lo + rows] @ b
+        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
     return out
 
 
@@ -360,6 +349,84 @@ def _q_grid(v: Potential, beta: float, m: float, hbar: float,
     return np.linspace(lo, hi, n_points)
 
 
+def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
+                   m_slices: int, seed: int) -> Callable[[int, int], np.ndarray]:
+    """The per-block function of ``fk_mc_partition``: ``values(start,
+    count)`` returns Y_k for paths [start, start+count).  Every step is
+    row-wise and runs on whole row groups (see ``_bridge_rows``), so Y_k
+    depends only on (seed, k), not on the paths sampled with it."""
+    q = _q_grid(v, beta, m, hbar)
+    scale = (q[1] - q[0]) / _thermal_lambda(beta, m, hbar)
+    levy = _levy_matrix(beta, m_slices, m, hbar)
+    # trapezoid weights: endpoints (both w=0) carry half weight each
+    dtau = beta / m_slices
+    tw = np.full(m_slices + 1, dtau)
+    tw[0] = tw[-1] = dtau / 2
+    if v.is_polynomial:
+        deg = len(v.coeffs) - 1
+        qpow = np.vander(q, deg + 1, increasing=True).T.copy()  # (deg+1, n_q)
+    # Each thread reuses its arrays block after block.  Arrays freed and
+    # allocated anew are handed back to the OS when glibc trims the
+    # thread's heap, and every page faults back in on the next block.
+    local = threading.local()
+
+    def arrays(rows: int) -> dict:
+        have = getattr(local, "arrays", None)
+        if have is None or len(have["raw"]) < rows:
+            have = local.arrays = {
+                "raw": np.empty((rows, _ceil4(m_slices - 1))),
+                "w": np.empty((rows, m_slices + 1)),
+                "wp": np.empty((rows, m_slices + 1)),
+                "action": np.empty((rows, len(q))),
+                "weights": np.empty((rows, len(q)), np.float32),
+            }
+        return {name: a[:rows] for name, a in have.items()}
+
+    def values(start: int, count: int) -> np.ndarray:
+        rows = _ceil4(count)
+        a = arrays(rows)
+        normals = _path_normals(m_slices, seed, start, a["raw"])
+        w = _serial_matmul(normals, levy.T, a["w"])
+        action = a["action"]
+        if v.is_polynomial:
+            # binomial trick: sum_j' v(q+w_j) dtau expands in path moments
+            # S_p = sum_j' w_j^p dtau, giving per-path polynomials in q
+            s = np.empty((deg + 1, rows))
+            wp = a["wp"]
+            wp.fill(1.0)
+            for p in range(deg + 1):
+                _serial_matmul(wp, tw, s[p])
+                wp *= w  # repeated products: float ** is ~100x slower
+            qc = np.zeros((rows, deg + 1))  # action coefficients in q
+            for i, ci in enumerate(v.coeffs):
+                if ci == 0:
+                    continue
+                for j in range(i + 1):
+                    qc[:, i - j] += ci * math.comb(i, j) * s[j]
+            _serial_matmul(qc, qpow, action)
+        else:
+            action.fill(0.0)
+            for j, weight in enumerate(tw):
+                pos = q[None, :] + w[:, [j]]
+                if v.domain is not None:
+                    pos = np.clip(pos, v.domain[0], v.domain[1])
+                action += weight * v(pos)
+        np.clip(action, -_EXP_FLOOR, _EXP_FLOOR, out=action)
+        # a single-precision exp shifted by the path's own minimum is 5-8x
+        # faster than float64, and its ~1e-6 relative error is far below
+        # the statistical error of any feasible path count.  The difference
+        # is taken in float64 and rounded once.
+        shift = action.min(axis=1)
+        weights = a["weights"]
+        np.subtract(shift[:, None], action, out=weights, casting="same_kind")
+        np.exp(weights, out=weights)
+        y = weights.sum(axis=1, dtype=np.float64)
+        y *= np.exp(-shift) * scale
+        return y[:count]
+
+    return values
+
+
 def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
                     m_slices: int = 64, n_paths: int = 100_000,
                     seed: int = 0) -> tuple[float, float]:
@@ -368,67 +435,23 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     Each path contributes Y_k = (1/lambda) int dq e^{-A_k(q)} with the
     trapezoid time integral A_k(q) = sum_j' v(q + w_k(tau_j)) dtau; the
     estimate is the path-ensemble mean of Y (pairwise summation, fixed
-    path order), the stderr its sample deviation over sqrt(N)."""
+    path order), the stderr its sample deviation over sqrt(N).  Paths run
+    in blocks of 512, whose arrays stay in cache, on two threads (Philox,
+    ``ndtri`` and numpy release the GIL); each block writes its own slice
+    of the values."""
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    q = _q_grid(v, beta, m, hbar)
-    dq = q[1] - q[0]
-    dtau = beta / m_slices
-    lam = _thermal_lambda(beta, m, hbar)
-    clip_domain = v.domain
+    block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
     values = np.empty(n_paths)
-    chunk = 20_000
-    for start in range(0, n_paths, chunk):
-        count = min(chunk, n_paths - start)
-        normals = _path_normals(m_slices, seed, start, count)
-        w = _bridges_from_normals(beta, m_slices, m, hbar, normals)
-        # trapezoid weights: endpoints (both w=0) carry half weight each
-        if v.is_polynomial:
-            # binomial trick: sum_j' v(q+w_j) dtau expands in path moments
-            # S_p = sum_j' w_j^p dtau, giving per-path polynomials in q
-            deg = len(v.coeffs) - 1
-            s = np.empty((count, deg + 1))
-            tw = np.full(m_slices + 1, dtau)
-            tw[0] = tw[-1] = dtau / 2
-            for p in range(deg + 1):
-                s[:, p] = _serial_matmul(w ** p, tw)
-            qc = np.zeros((count, deg + 1))  # action coefficients in q
-            for i, ci in enumerate(v.coeffs):
-                if ci == 0:
-                    continue
-                for j in range(i + 1):
-                    qc[:, i - j] += ci * math.comb(i, j) * s[:, j]
-            qpow = np.vander(q, deg + 1, increasing=True)  # (n_q, deg+1)
-            action = _serial_matmul(qc, qpow.T)
-        else:
-            action = np.zeros((count, len(q)))
-            for j in range(m_slices + 1):
-                weight = dtau / 2 if j in (0, m_slices) else dtau
-                pos = q[None, :] + w[:, [j]]
-                if clip_domain is not None:
-                    pos = np.clip(pos, clip_domain[0], clip_domain[1])
-                action += weight * v(pos)
-        # exp dominates the run time; a shifted single-precision evaluation
-        # is ~10x faster and its ~1e-6 relative error is far below the
-        # statistical error of any feasible path count.  Both passes run in
-        # row blocks that stay in cache.
-        rows = 512
-        block_mins = []
-        for lo in range(0, count, rows):
-            block = action[lo:lo + rows]
-            np.clip(block, -_EXP_FLOOR, _EXP_FLOOR, out=block)
-            block_mins.append(block.min())
-        shift = float(np.min(block_mins))
-        scale = float(np.exp(np.float64(-shift))) * dq / lam
-        boltz = np.empty((min(rows, count), len(q)), np.float32)
-        for lo in range(0, count, rows):
-            block = action[lo:lo + rows]
-            weights = boltz[:len(block)]
-            # the difference is taken in float64 and rounded once to float32
-            np.subtract(shift, block, out=weights, casting="same_kind")
-            np.exp(weights, out=weights)
-            values[start + lo:start + lo + len(block)] = \
-                weights.sum(axis=1, dtype=np.float64) * scale
+
+    def run(start: int) -> None:
+        stop = min(start + _BLOCK_PATHS, n_paths)
+        values[start:stop] = block_values(start, stop - start)
+
+    # imported here: only the path sampler needs it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(run, range(0, n_paths, _BLOCK_PATHS)))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_paths))
     return estimate, stderr

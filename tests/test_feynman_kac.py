@@ -9,6 +9,11 @@ import pytest
 from qdesk.feynman_kac import (
     BridgePath,
     Potential,
+    _bisection_schedule,
+    _block_sampler,
+    _ceil4,
+    _levy_matrix,
+    _path_normals,
     _serial_matmul,
     bound_check,
     classical_partition,
@@ -52,6 +57,13 @@ class TestPotential:
     def test_derivative_polynomial(self):
         d = QUARTIC.derivative()
         assert abs(float(d(2.0)) - 8.0) < 1e-12
+
+    def test_derivative_stays_in_domain(self):
+        # one-sided differences at the ends instead of evaluating outside
+        v = Potential.from_callable(lambda q: q ** 2, domain=(-1.0, 1.0))
+        d = v.derivative()
+        assert abs(float(d(0.5)) - 1.0) < 1e-8
+        assert np.all(np.abs(d(np.array([-1.0, 1.0])) - [-2.0, 2.0]) < 1e-4)
 
 
 class TestGaussTransform:
@@ -146,6 +158,33 @@ class TestBridges:
         mid = ens[:, 32]
         assert abs(np.var(mid) - beta / 4) < 0.02
 
+    @pytest.mark.parametrize("m_slices", [2, 16, 17, 64])
+    def test_levy_matrix_gives_bridge_covariance(self, m_slices):
+        # w = L z with standard normal z has covariance L L^T, which must be
+        # (hbar^2/m)(min(tau, tau') - tau tau'/beta)
+        beta, mass, hbar = 2.0, 2.0, 0.5
+        levy = _levy_matrix(beta, m_slices, mass, hbar)
+        tau = np.linspace(0.0, beta, m_slices + 1)
+        cov = hbar ** 2 / mass * (np.minimum.outer(tau, tau)
+                                  - np.outer(tau, tau) / beta)
+        assert np.max(np.abs(levy @ levy.T - cov)) < 1e-12
+
+    def test_ensemble_matches_midpoint_loop(self):
+        # reference: the Lévy midpoint construction run column by column on
+        # the same normals; the matrix product sums in another order
+        beta, m_slices, mass, hbar = 2.0, 64, 0.5, 2.0
+        raw = np.empty((_ceil4(300), _ceil4(m_slices - 1)))
+        normals = _path_normals(m_slices, 4, 0, raw)[:300]
+        dtau = beta / m_slices
+        ref = np.zeros((300, m_slices + 1))
+        for col, (left, mid, right) in enumerate(_bisection_schedule(m_slices)):
+            tl, tm, th = left * dtau, mid * dtau, right * dtau
+            mean = ((th - tm) * ref[:, left] + (tm - tl) * ref[:, right]) / (th - tl)
+            var = (hbar ** 2 / mass) * (tm - tl) * (th - tm) / (th - tl)
+            ref[:, mid] = mean + math.sqrt(var) * normals[:, col]
+        ens = sample_bridge_ensemble(beta, m_slices, 300, mass, hbar, seed=4)
+        assert np.max(np.abs(ens - ref)) < 1e-12
+
     def test_bridge_rejects_unpinned(self):
         with pytest.raises(ValueError):
             BridgePath(1.0, np.array([0.0, 0.5, 0.1]))
@@ -181,6 +220,44 @@ class TestMonteCarlo:
         groups = [qc[i:i + 4] @ qpow.T for i in range(0, n_rows, 4)]
         assert np.array_equal(_serial_matmul(qc, qpow.T), np.concatenate(groups))
 
+    @pytest.mark.parametrize("v", [
+        HARMONIC, QUARTIC,
+        Potential.from_callable(lambda q: 0.5 * q ** 2, domain=(-9.0, 9.0))])
+    def test_path_value_independent_of_surrounding_paths(self, v):
+        # a path's value is a function of (seed, path index) alone, whatever
+        # block it is computed in and however many paths share the block
+        values = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=5)
+        first, second = values(0, 1_000), values(500, 1_000)
+        assert np.array_equal(first[500:], second[:500])
+        assert np.array_equal(first[3:8], values(3, 5))
+        assert np.array_equal(first[7:8], values(7, 1))
+
+    def test_estimate_is_mean_of_path_values(self):
+        est, stderr = fk_mc_partition(QUARTIC, 2.0, n_paths=1_500, seed=6)
+        y = _block_sampler(QUARTIC, 2.0, 1.0, 1.0, 64, seed=6)(0, 1_500)
+        assert est == float(np.mean(y))
+        assert stderr == float(np.std(y, ddof=1) / math.sqrt(1_500))
+
+    def test_threads_give_same_bits_under_fast_switching(self):
+        # blocks run on two threads; with the interpreter switching threads
+        # every microsecond the estimate must still equal the one from a
+        # single block computed on this thread
+        y = _block_sampler(HARMONIC, 2.0, 1.0, 1.0, 64, seed=12)(0, 5_000)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est, _ = fk_mc_partition(HARMONIC, 2.0, n_paths=5_000, seed=12)
+        finally:
+            sys.setswitchinterval(old)
+        assert est == float(np.mean(y))
+
+    def test_one_slice_is_classical(self):
+        # with one time slice the pinned bridge is identically 0, and every
+        # path gives the classical z(beta, 0)
+        est, stderr = fk_mc_partition(HARMONIC, 2.0, m_slices=1, n_paths=100)
+        assert abs(est - classical_partition(HARMONIC, 2.0, 0.0, 1.0)) < 1e-7
+        assert stderr < 1e-12
+
     def test_callable_matches_polynomial_path(self):
         v = Potential.from_callable(lambda q: 0.5 * q ** 2)
         a = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=2)
@@ -197,6 +274,15 @@ class TestBoundsAndTauStar:
     def test_monotonicity_quartic(self):
         res = monotonicity_check(QUARTIC, 2.0)
         assert res["strictly_decreasing"]
+
+    def test_monotonicity_callable_with_domain(self):
+        # the derivative identity is checked up to the domain's ends
+        v = Potential.from_callable(lambda q: 0.5 * q ** 2, domain=(-8.0, 8.0))
+        res = monotonicity_check(v, 1.0)
+        assert res["strictly_decreasing"]
+        assert max(res["derivative_relative_errors"]) < 1e-8
+        narrow = Potential.from_callable(lambda q: 0.5 * q ** 2, domain=(-3.0, 3.0))
+        assert monotonicity_check(narrow, 1.0)["strictly_decreasing"]
 
     def test_tau_star_closed_form(self):
         ts = tau_star(HARMONIC, 2.0, z_target=SPECTRAL_HARMONIC)

@@ -253,6 +253,11 @@ class TestMoyal:
 
 
 class TestHamiltonianSpectrum:
+    def test_grid_hamiltonian_real_symmetric(self):
+        h = grid_hamiltonian(GridSpec(n=128, length=16.0), 0.7, lambda q: 0.5 * q ** 2)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+
     def test_harmonic_levels(self):
         spec = GridSpec(n=512, length=24.0)
         h = grid_hamiltonian(spec, 1.0, lambda q: 0.5 * q ** 2)
