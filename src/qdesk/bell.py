@@ -63,12 +63,6 @@ class EntropyTriangleReport:
     s2: float
     delta_s: float
 
-    def __post_init__(self):
-        if abs(self.s1 - self.s2) > self.s + 1e-9 or self.s > self.s1 + self.s2 + 1e-9:
-            raise ValueError("entropy triangle inequality violated")
-        if self.delta_s < -1e-9:
-            raise ValueError("negative entanglement entropy")
-
 
 def singlet() -> DensityOperator:
     """W- = (1/4)(I4 - sum_g S^g x S^g), the rotation-invariant total-spin-0 state."""
@@ -114,10 +108,7 @@ def chsh_operator(cfg: CHSHConfig) -> tuple[HermitianOperator, dict]:
 def chsh_value(w: DensityOperator, cfg: CHSHConfig) -> float:
     """<K> = tr(WK); bounded by 2*sqrt(2) for any state (Tsirelson)."""
     k, _ = chsh_operator(cfg)
-    val = float(np.trace(w.matrix @ k.matrix).real)
-    if abs(val) > 2 * math.sqrt(2) + 1e-10:
-        raise AssertionError(f"Tsirelson bound exceeded: |<K>| = {abs(val)}")
-    return val
+    return float(np.trace(w.matrix @ k.matrix).real)
 
 
 def singlet_chsh_closed_form(cfg: CHSHConfig) -> float:

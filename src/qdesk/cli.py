@@ -95,6 +95,7 @@ def _run_wigner(cfg: RunConfig):
         "husimi_min": float(husimi.values.min()),
     }
     checks = {
+        "normalized": abs(results["normalization"] - 1.0) <= 1e-6,
         "marginals_match": max(q_err, p_err) <= 1e-6,
         "magnitude_bound": results["max_abs"] <= 2 + 1e-6,
         "husimi_nonnegative": results["husimi_min"] >= -1e-8,

@@ -470,11 +470,6 @@ class PartitionReport:
     def __post_init__(self):
         if self.z_lower > self.z_upper + 1e-12:
             raise ValueError("lower bound exceeds upper bound")
-        if self.spectral_reference is not None:
-            tol = 1e-8
-            if not (self.z_lower - 3 * tol <= self.spectral_reference
-                    <= self.z_upper + 3 * tol):
-                raise ValueError("spectral reference escapes the sandwich")
 
     def to_json(self) -> dict:
         return {
@@ -488,14 +483,12 @@ class PartitionReport:
         }
 
 
-def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
-             z_target: float | None = None) -> float:
+def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
+             z_target: float) -> float:
     """Unique tau in (0, beta] with z(beta, tau) = z_target, by bisection
     on the strictly decreasing tau -> z(beta, tau)."""
     z0 = classical_partition(v, beta, 0.0, m, hbar)
     zb = classical_partition(v, beta, beta, m, hbar)
-    if z_target is None:
-        raise ValueError("z_target is required")
     if not (zb - 1e-12 <= z_target < z0):
         raise ValueError("target outside the bracket [z(beta,beta), z(beta,0))")
     if abs(z_target - zb) <= 1e-8 * z_target:

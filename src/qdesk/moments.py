@@ -50,11 +50,6 @@ class MomentReport:
     def __post_init__(self):
         if self.var_a < -1e-12 or self.var_b < -1e-12:
             raise ValueError("negative variance beyond numerical floor")
-        if self.inin_lhs < self.inin_rhs - 1e-9:
-            raise ValueError(
-                f"indeterminacy inequality violated: "
-                f"{self.inin_lhs} < {self.inin_rhs} - 1e-9"
-            )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qdesk.bell as bell
 from qdesk.bell import (
     CHSHConfig,
     bell_states,
@@ -67,6 +68,17 @@ class TestCHSH:
             val = chsh_value(random_separable(rng), random_config(rng))
             assert abs(val) <= 2.0 + 1e-9
 
+    def test_value_returned_beyond_tsirelson(self, monkeypatch):
+        original = bell.chsh_operator
+
+        def doubled(cfg):
+            k, info = original(cfg)
+            return HermitianOperator(2 * k.matrix), info
+
+        monkeypatch.setattr(bell, "chsh_operator", doubled)
+        val = chsh_value(singlet(), fig1_config())
+        assert abs(val + 2 * TSIRELSON) < 1e-12
+
     def test_classical_enumeration(self):
         res = classical_chsh_enumeration()
         assert set(res["attained_values"]) == {-2.0, 2.0}
@@ -95,6 +107,14 @@ class TestEntropyTriangle:
             rep = entropy_triangle(random_density(4, rng))
             assert abs(rep.s1 - rep.s2) <= rep.s + 1e-9
             assert rep.s <= rep.s1 + rep.s2 + 1e-9
+
+    def test_report_returns_forced_violation(self, monkeypatch):
+        # pure reductions of the maximally mixed state: S > S1 + S2
+        pure = np.diag([1.0, 0.0]).astype(complex)
+        monkeypatch.setattr(bell, "partial_trace", lambda m, dims, keep: pure)
+        rep = entropy_triangle(DensityOperator(HermitianOperator(np.eye(4) / 4)))
+        assert rep.s > rep.s1 + rep.s2 + 1e-9
+        assert rep.delta_s < -1e-9
 
     def test_product_state_additivity(self):
         rng = np.random.default_rng(9)

@@ -191,6 +191,35 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--scenario", "mermin")
         assert code == 1
 
+    def test_sandwich_violation_exits_1(self, capsys, monkeypatch):
+        original = cli.fk.spectral_partition
+        monkeypatch.setattr(cli.fk, "spectral_partition",
+                            lambda *args, **kw: 1.5 * original(*args, **kw))
+        code, out = run_cli(capsys, "--scenario", "fk", *FAST_ARGS["fk"])
+        assert code == 1
+        assert json.loads(out)["checks"]["sandwich_holds"] is False
+
+    def test_indeterminacy_violation_exits_1(self, capsys, monkeypatch):
+        module = sys.modules["qdesk.moments"]
+        original = module.standardized_commutator
+        monkeypatch.setattr(module, "standardized_commutator",
+                            lambda a, b, hbar: 100 * original(a, b, hbar))
+        code, out = run_cli(capsys, "--scenario", "inin")
+        assert code == 1
+        assert json.loads(out)["checks"]["inin_holds"] is False
+
+    def test_tsirelson_violation_exits_1(self, capsys, monkeypatch):
+        original = cli.bl.chsh_operator
+
+        def doubled(cfg):
+            k, info = original(cfg)
+            return cli.op.HermitianOperator(2 * k.matrix), info
+
+        monkeypatch.setattr(cli.bl, "chsh_operator", doubled)
+        code, out = run_cli(capsys, "--scenario", "bell")
+        assert code == 1
+        assert json.loads(out)["checks"]["tsirelson_pass"] is False
+
     def test_runtime_error_exits_3(self, capsys, monkeypatch):
         def broken(cfg):
             raise RuntimeError("boom")

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import qdesk.feynman_kac as fk
 from qdesk.feynman_kac import (
     BridgePath,
     Potential,
@@ -122,6 +123,14 @@ class TestSpectralReference:
         lo = classical_partition(HARMONIC, 2.0, 2.0, 1.0)
         hi = classical_partition(HARMONIC, 2.0, 0.0, 1.0)
         assert lo <= z <= hi
+
+    def test_bound_check_returns_escaped_reference(self, monkeypatch):
+        original = fk.spectral_partition
+        monkeypatch.setattr(fk, "spectral_partition",
+                            lambda *args, **kw: 1.5 * original(*args, **kw))
+        rep = bound_check(HARMONIC, 2.0, n_paths=2_000)
+        assert rep.spectral_reference > rep.z_upper + 1e-8
+        assert rep.tau_star is None
 
 
 class TestBridges:
@@ -290,7 +299,7 @@ class TestBoundsAndTauStar:
         assert abs(ts - exact) < 1e-6
 
     def test_tau_star_requires_target(self):
-        with pytest.raises(ValueError, match="z_target"):
+        with pytest.raises(TypeError, match="z_target"):
             tau_star(HARMONIC, 2.0)
 
     def test_bound_check_report(self):

@@ -47,3 +47,14 @@ def test_no_unused_module_level_import(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert unused == []
+
+
+@pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.stem)
+def test_no_assert_or_assertion_error(path):
+    """``python -O`` strips ``assert``, and ``cli.main`` maps an
+    ``AssertionError`` to the runtime-error exit code: a bound that can
+    fail is reported by a check instead."""
+    found = [f"line {n.lineno}" for n in ast.walk(parse(path))
+             if isinstance(n, ast.Assert)
+             or isinstance(n, ast.Name) and n.id == "AssertionError"]
+    assert found == []

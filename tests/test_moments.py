@@ -1,6 +1,7 @@
 """Tests for moment reports, uncertainty relations, and free evolution."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -76,12 +77,30 @@ class TestRobertsonSchroedinger:
                     "inin_lhs", "inin_rhs"):
             assert key in d
 
-    def test_report_rejects_violation(self):
-        with pytest.raises(ValueError):
-            MomentReport(mean_a=0.0, mean_b=0.0, var_a=0.1, var_b=0.1,
-                         covariance=0.0, correlation=0.0,
-                         commutator_expectation=1.0,
-                         inin_lhs=0.01, inin_rhs=0.25)
+    def test_report_returns_violation(self):
+        # the inequality is judged by its checkers, not by the report
+        rep = MomentReport(mean_a=0.0, mean_b=0.0, var_a=0.1, var_b=0.1,
+                           covariance=0.0, correlation=0.0,
+                           commutator_expectation=1.0,
+                           inin_lhs=0.01, inin_rhs=0.25)
+        assert rep.inin_lhs < rep.inin_rhs - 1e-9
+
+    def test_moments_returns_forced_violation(self, monkeypatch):
+        module = sys.modules["qdesk.moments"]
+        original = module.standardized_commutator
+        monkeypatch.setattr(module, "standardized_commutator",
+                            lambda a, b, hbar: 100 * original(a, b, hbar))
+        rng = np.random.default_rng(5)
+        w = random_density(3, rng)
+        rep = moments(w, random_hermitian(3, rng), random_hermitian(3, rng))
+        assert rep.inin_lhs < rep.inin_rhs - 1e-9
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(ValueError, match="negative variance"):
+            MomentReport(mean_a=0.0, mean_b=0.0, var_a=-0.1, var_b=0.1,
+                         covariance=0.0, correlation=None,
+                         commutator_expectation=0.0,
+                         inin_lhs=-0.01, inin_rhs=0.0)
 
 
 class TestEntropyAndGibbs:

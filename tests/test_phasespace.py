@@ -179,7 +179,7 @@ class TestQuantization:
         q = SPEC.position_grid()[None, :]
         vals = np.exp(-(q - 0.5) ** 2 / 2 - (p + 0.7) ** 2 / 3)
         field = PhaseSpaceField(SPEC, vals)
-        back = wigner_transform(weyl_quantize(field), SPEC, check_state=False)
+        back = wigner_transform(weyl_quantize(field), SPEC)
         assert np.max(np.abs(back.values - field.values)) < 1e-6
 
     def test_operator_roundtrip(self):

@@ -141,7 +141,7 @@ class TestAgainstDenseSums:
         kernel = np.outer(psi.samples, psi.samples.conj())
         ref = wigner_oracle(kernel, n, length, hbar)
         from_state = wigner_transform(psi).values
-        from_kernel = wigner_transform(kernel, psi.spec, check_state=True).values
+        from_kernel = wigner_transform(kernel, psi.spec).values
         assert np.max(np.abs(from_state - ref)) < TOL
         assert np.max(np.abs(from_kernel - ref)) < TOL
         assert np.max(np.abs(from_kernel - from_state)) < TOL
@@ -197,8 +197,10 @@ def test_localized_states_marginals_and_round_trip(hbar, first, second,
     else:
         parts = [(1.0, normalized(a + amplitude * np.exp(1j * angle) * b, dq))]
     kernel = sum(t * np.outer(v, v.conj()) for t, v in parts)
-    w = wigner_transform(kernel, spec, check_state=True).values
+    w = wigner_transform(kernel, spec).values
     cell = 2 * math.pi * hbar
+    assert abs(w.sum() * dq * dp / cell - 1.0) <= 1e-6
+    assert np.max(np.abs(w)) <= 2 + 1e-6
     q_marginal = w.sum(axis=0) * dp / cell
     p_marginal = w.sum(axis=1) * dq / cell
     assert np.max(np.abs(q_marginal - np.diag(kernel).real)) < 1e-10
