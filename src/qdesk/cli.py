@@ -136,8 +136,8 @@ def _run_hv(cfg: RunConfig):
 def _run_bell(cfg: RunConfig):
     chsh_cfg = _chsh_config(cfg)
     state = _bell_state(cfg)
-    value = bl.chsh_value(state, chsh_cfg)
-    _, identity = bl.chsh_operator(chsh_cfg)
+    k, identity = bl.chsh_operator(chsh_cfg)
+    value = float(np.trace(state.matrix @ k.matrix).real)
     results = {
         "chsh_value": value,
         "classical_bound": 2.0,

@@ -24,8 +24,13 @@ O(n^2 log n) time and O(n^2) memory.
 - The Wigner sum over half-step lags l in (-n, n) carries the phase
   exp(2 pi i (m - n/2) l/n), which has period n in l: lags l and l + n are
   folded (l -> l mod n) into one n-point inverse FFT per position, and an
-  fftshift puts p = 0 in row n/2.  The Weyl map is the same sum read the
-  other way, an inverse FFT along p indexed at (k - k') mod n.
+  fftshift puts p = 0 in row n/2.
+- The Weyl map reads the same sum the other way: diagonal d = k - k' of
+  the kernel is row d mod n of the inverse FFT along p, at the midpoints
+  s = k + k' of parity d.  A real symbol gives a Hermitian kernel, so
+  ihfft yields the rows d = 0..n/2 and conjugation the rest.  Odd rows
+  move half a step along q: FFT, factor exp(i pi m/n) for signed m with
+  the Nyquist term (0 at half-steps) dropped, inverse FFT.
 - For a pure state the upsampled kernel is rank one, u u^dag with u the
   upsampled wavefunction, so the Wigner lags are gathered as
   u[2k - l] conj(u[2k + l]) from 2n samples instead of a 2n x 2n matrix.
@@ -36,7 +41,6 @@ O(n^2 log n) time and O(n^2) memory.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +129,6 @@ class PhaseSpaceField:
         cell = self.spec.dp * self.spec.dq / (2 * math.pi * self.spec.hbar)
         return float(np.sum(self.values).real * cell)
 
-    def inner(self, other: "PhaseSpaceField") -> complex:
-        cell = self.spec.dp * self.spec.dq / (2 * math.pi * self.spec.hbar)
-        return complex(np.sum(np.conj(self.values) * other.values) * cell)
-
     def to_csv(self, path):
         """Rows "p,q,value" with each float's repr, p outer and q inner."""
         p = [repr(x) for x in self.spec.momentum_grid().tolist()]
@@ -138,12 +138,6 @@ class PhaseSpaceField:
             fh.write("p,q,value\n")
             for pv, row in zip(p, rows):
                 fh.write("".join([f"{pv},{qv},{v!r}\n" for qv, v in zip(q, row)]))
-
-    def to_binary(self, path):
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<3d", float(self.spec.n), self.spec.length,
-                                 self.spec.hbar))
-            fh.write(np.ascontiguousarray(self.values.real, dtype="<f8").tobytes())
 
 
 def gaussian_packet(spec: GridSpec, alpha2: float, gamma: float = 0.0,
@@ -292,11 +286,6 @@ def _upsample_axis(values: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _upsample2(values: np.ndarray) -> np.ndarray:
-    """Band-limited 2x upsampling of a 2D field in both directions."""
-    return _upsample_axis(_upsample_axis(values, 0), 1)
-
-
 # Cells per block of Wigner lags (16 MiB of complex128): bounds the
 # transform's transient memory independently of the grid size.
 _LAG_BLOCK_CELLS = 1 << 20
@@ -323,7 +312,7 @@ def _kernel_lags(kernel: np.ndarray):
     """Lag rows kup[2k - l, 2k + l] of a general kernel, laid out as in
     _pure_lags, from its 2n x 2n band-limited upsampling kup."""
     n = len(kernel)
-    fine = _upsample2(kernel).ravel()
+    fine = _upsample_axis(_upsample_axis(kernel, 0), 1).ravel()
     lags = np.arange(1 - n, n)
 
     def rows(k0, k1):
@@ -384,6 +373,33 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
     return PhaseSpaceField(spec, w)
 
 
+def _hermitian_weyl(a: np.ndarray, dq: float, span: int) -> np.ndarray:
+    """Kernel of a real symbol ``a`` (n x n, or n x 2n on the half-step grid)
+    on the diagonals |k - k'| <= span, from its separations 0..n/2."""
+    n = a.shape[0]
+    if a.shape[1] == 2 * n:
+        table = np.fft.ihfft(a[:, ::2], axis=0)
+        table[1::2] = np.fft.ihfft(a[:, 1::2], axis=0)[1::2]
+    else:
+        table = np.fft.ihfft(a, axis=0)
+        shift = np.exp(1j * math.pi * np.fft.fftfreq(n))
+        shift[n // 2] = 0
+        table[1::2] = np.fft.ifft(np.fft.fft(table[1::2], axis=1) * shift, axis=1)
+    table *= ((-1.0) ** np.arange(len(table)) / dq)[:, None]
+    kernel = np.zeros((n, n), dtype=complex)
+    flat = kernel.reshape(-1)
+    for d in range(span + 1):
+        size = n - d
+        row = table[min(d, size), d // 2:d // 2 + size]
+        lower = flat[d * n:d * n + size * (n + 1):n + 1]
+        upper = flat[d:d + size * (n + 1):n + 1]
+        if d > n // 2:  # row d is the conjugate of row n - d
+            lower, upper = upper, lower
+        np.conjugate(row, out=upper)
+        lower[...] = row
+    return kernel
+
+
 def weyl_quantize(symbol: PhaseSpaceField, fine_symbol: np.ndarray | None = None,
                   compact: bool = True) -> np.ndarray:
     """Position kernel <q|A|q'> = int dp/(2 pi hbar) exp(ip(q-q')/hbar)
@@ -402,27 +418,19 @@ def weyl_quantize(symbol: PhaseSpaceField, fine_symbol: np.ndarray | None = None
     with genuine slowly-decaying tails; pass ``compact=False`` to keep the
     periodic extension, which reproduces operator identities such as
     p^2 f(q) -> P f(Q) P - (hbar^2/4) f''(Q) in action on localized states.
+
+    A real symbol gives an exactly Hermitian kernel; a complex one is
+    quantized by linearity as K(Re a) + i K(Im a), the second term only
+    when Im a is nonzero.
     """
-    spec = symbol.spec
-    n = spec.n
-    if fine_symbol is None:
-        # the transform along p commutes with the upsampling along q; doing
-        # it first runs it on n x n samples instead of n x 2n
-        g = _upsample_axis(np.fft.ifft(symbol.values, axis=0), axis=1)
-    else:
-        if fine_symbol.shape != (n, 2 * n):
-            raise ValueError("fine symbol must have shape (n, 2n)")
-        g = np.fft.ifft(fine_symbol, axis=0)
-    # With d = k - k' and midpoint index s = k + k',
-    # sum_m exp(2 pi i d (m - n/2)/n) a[m, s] = (-1)^d n g[d mod n, s].
-    # Diagonal d of the kernel is row d mod n of g at s = |d|, |d| + 2, ...
+    n, dq = symbol.spec.n, symbol.spec.dq
+    if fine_symbol is not None and fine_symbol.shape != (n, 2 * n):
+        raise ValueError("fine symbol must have shape (n, 2n)")
+    a = symbol.values if fine_symbol is None else fine_symbol
     span = n // 2 if compact else n - 1
-    kernel = np.zeros((n, n), dtype=complex)
-    diagonals = kernel.reshape(-1)
-    for d in range(-span, span + 1):
-        start = d * n if d >= 0 else -d
-        diagonals[start:start + (n - abs(d)) * (n + 1):n + 1] = (
-            (-1) ** d / spec.dq * g[d % n, abs(d):2 * n - abs(d):2])
+    kernel = _hermitian_weyl(a.real, dq, span)
+    if np.iscomplexobj(a) and np.any(a.imag):
+        kernel += 1j * _hermitian_weyl(a.imag, dq, span)
     return kernel
 
 
@@ -467,14 +475,6 @@ class QuadraticSymbol:
     def __call__(self, p, q):
         c0, cp, cq, cpp, cqq, cpq = self.c
         return c0 + cp * p + cq * q + cpp * p ** 2 + cqq * q ** 2 + cpq * p * q
-
-    def grad_p(self, p, q):
-        _, cp, _, cpp, _, cpq = self.c
-        return cp + 2 * cpp * p + cpq * q
-
-    def grad_q(self, p, q):
-        _, _, cq, _, cqq, cpq = self.c
-        return cq + 2 * cqq * q + cpq * p
 
     def field(self, spec: GridSpec) -> PhaseSpaceField:
         p = spec.momentum_grid()[:, None]

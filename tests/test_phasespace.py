@@ -1,6 +1,7 @@
 """Tests for the phase-space grid layer: transforms, packets, and bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,20 @@ class TestQuantization:
         back = weyl_quantize(wigner_transform(psi))
         assert np.max(np.abs(back - op)) / np.max(np.abs(op)) < 1e-6
 
+    def test_peak_allocation_within_budget(self):
+        # O(n^2) budget: the returned kernel (16 n^2 bytes), the table of
+        # separations 0..n/2 (8 n^2) and the FFT buffers of its odd rows.
+        # 2.5 kernels leave no room for an n x 2n complex array (32 n^2).
+        spec = GridSpec(n=512, length=32.0)
+        field = wigner_transform(gaussian_packet(spec, alpha2=1.0))
+        tracemalloc.start()
+        try:
+            kernel = weyl_quantize(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * kernel.nbytes
+
     def test_constant_symbol_gives_identity(self):
         sym = QuadraticSymbol(c0=1.0)
         op = weyl_quantize(sym.field(SPEC), fine_symbol=sym.fine_field(SPEC))
@@ -338,9 +353,3 @@ class TestFieldIO:
         path = tmp_path / "field.csv"
         field.to_csv(path)
         assert path.read_bytes() == reference.read_bytes()
-
-    def test_binary_size(self, tmp_path):
-        w = wigner_transform(gaussian_packet(SPEC, alpha2=1.0))
-        path = tmp_path / "field.bin"
-        w.to_binary(path)
-        assert path.stat().st_size == 8 * (3 + SPEC.n ** 2)

@@ -166,6 +166,50 @@ class TestAgainstDenseSums:
         assert rel_err(got, ref) < TOL
 
 
+@pytest.mark.parametrize("compact", [True, False])
+class TestWeylHermitianHalf:
+    """weyl_quantize builds the kernel of a real symbol from separations
+    0..n/2 and moves odd separations half a step along q; these cases
+    reach the Nyquist row, the complex-symbol split and the fine-symbol
+    tables."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_small_grids(self, n, compact):
+        length, hbar = 3.0, 0.8
+        values = np.random.default_rng(n).standard_normal((n, n))
+        ref = weyl_oracle(values @ upsample_matrix(n).T, n, length, hbar, compact)
+        got = weyl_quantize(PhaseSpaceField(GridSpec(n, length, hbar), values),
+                            compact=compact)
+        assert rel_err(got, ref) < TOL
+        assert np.array_equal(got, got.conj().T)
+
+    @pytest.mark.parametrize("n,length,hbar", GRIDS)
+    def test_complex_symbol(self, n, length, hbar, compact):
+        rng = np.random.default_rng(n + 1)
+        values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ref = weyl_oracle(values @ upsample_matrix(n).T, n, length, hbar, compact)
+        got = weyl_quantize(PhaseSpaceField(GridSpec(n, length, hbar), values),
+                            compact=compact)
+        assert rel_err(got, ref) < TOL
+
+    @pytest.mark.parametrize("n,length,hbar", GRIDS)
+    def test_fine_symbol(self, n, length, hbar, compact):
+        spec = GridSpec(n, length, hbar)
+        fine = np.random.default_rng(n + 2).standard_normal((n, 2 * n))
+        ref = weyl_oracle(fine, n, length, hbar, compact)
+        field = PhaseSpaceField(spec, fine[:, ::2])
+        got = weyl_quantize(field, fine_symbol=fine, compact=compact)
+        assert rel_err(got, ref) < TOL
+        assert np.array_equal(got, got.conj().T)
+
+    @pytest.mark.parametrize("n,length,hbar", GRIDS)
+    def test_real_symbol_gives_exactly_hermitian_kernel(self, n, length, hbar,
+                                                        compact):
+        field = wigner_transform(two_packet_state(n, length, hbar))
+        kernel = weyl_quantize(field, compact=compact)
+        assert np.array_equal(kernel, kernel.conj().T)
+
+
 PACKET = st.tuples(
     st.floats(-3.0, 3.0),     # q0
     st.floats(-2.0, 2.0),     # p0 / hbar
