@@ -25,17 +25,19 @@ O(n^2 log n) time and O(n^2) memory.
   exp(2 pi i (m - n/2) l/n), which has period n in l: lags l and l + n are
   folded (l -> l mod n) into one n-point inverse FFT per position, and an
   fftshift puts p = 0 in row n/2.
+- One helper moves samples half a step along an axis: FFT, factor
+  exp(i pi m/n) for signed m with the Nyquist term (0 at half-steps)
+  dropped, inverse FFT.
+- Wigner lag l reads the kernel at half-step indices (2k - l, 2k + l), both
+  of the parity of l: even lags from K, odd lags from K moved along both
+  axes, two n x n tables.  A pure state gathers u[2k - l] conj(u[2k + l])
+  from u = psi interleaved with psi moved, 2n samples.  The lags are built
+  a block of positions at a time, which bounds the transient memory.
 - The Weyl map reads the same sum the other way: diagonal d = k - k' of
   the kernel is row d mod n of the inverse FFT along p, at the midpoints
   s = k + k' of parity d.  A real symbol gives a Hermitian kernel, so
   ihfft yields the rows d = 0..n/2 and conjugation the rest.  Odd rows
-  move half a step along q: FFT, factor exp(i pi m/n) for signed m with
-  the Nyquist term (0 at half-steps) dropped, inverse FFT.
-- For a pure state the upsampled kernel is rank one, u u^dag with u the
-  upsampled wavefunction, so the Wigner lags are gathered as
-  u[2k - l] conj(u[2k + l]) from 2n samples instead of a 2n x 2n matrix.
-  The lags are built a block of positions at a time, which bounds the
-  transient memory.
+  move half a step along q.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class GridSpec:
         return self.dp * (np.arange(self.n) - self.n // 2)
 
     def fine_position_grid(self) -> np.ndarray:
-        """2n half-step positions, used by the Wigner/Weyl quadratures."""
+        """2n half-step positions, where fine symbols are sampled."""
         return -self.length / 2 + (self.dq / 2) * np.arange(2 * self.n)
 
 
@@ -269,21 +271,15 @@ def variance_from_entropic(psi: GridWavefunction) -> dict:
     }
 
 
-def _upsample_axis(values: np.ndarray, axis: int) -> np.ndarray:
-    """Band-limited 2x upsampling along one axis by Fourier zero-padding;
-    the Nyquist bin is split half-half onto +-Nyquist so the interpolation
-    is symmetric (real input stays real, Hermitian kernels stay Hermitian).
-    """
-    f = np.fft.fft(np.moveaxis(values, axis, -1))
-    n = f.shape[-1]
-    h = n // 2
-    pad = np.zeros(f.shape[:-1] + (2 * n,), dtype=complex)
-    pad[..., :h] = f[..., :h]
-    pad[..., h] = pad[..., 2 * n - h] = f[..., h] / 2
-    pad[..., 2 * n - h + 1:] = f[..., h + 1:]
-    out = np.fft.ifft(pad)
-    out *= 2
-    return np.moveaxis(out, -1, axis)
+def _half_step(values: np.ndarray, axis: int) -> np.ndarray:
+    """Band-limited values half a sample step on along ``axis``; the Nyquist
+    term, split evenly onto +-n/2, sums to 0 at half-steps."""
+    n = values.shape[axis]
+    shift = np.exp(1j * math.pi * np.fft.fftfreq(n))
+    shift[n // 2] = 0
+    f = np.fft.fft(values, axis=axis)
+    f *= shift.reshape((n,) + (1,) * (values.ndim - 1 - axis))
+    return np.fft.ifft(f, axis=axis)
 
 
 # Cells per block of Wigner lags (16 MiB of complex128): bounds the
@@ -292,12 +288,14 @@ _LAG_BLOCK_CELLS = 1 << 20
 
 
 def _pure_lags(samples: np.ndarray):
-    """Lag rows of the rank-one kernel u u^dag, u the 2n upsampled samples:
+    """Lag rows of the rank-one kernel u u^dag, u[2j] = psi[j] and
+    u[2j + 1] = _half_step(psi)[j]:
     rows(k0, k1)[k - k0, l + n - 1] = u[2k - l] conj(u[2k + l]) for
     l in (-n, n), zero where an index leaves the fine grid."""
     n = len(samples)
     padded = np.zeros(4 * n, dtype=complex)
-    padded[n:3 * n] = _upsample_axis(samples, 0)
+    padded[n:3 * n:2] = samples
+    padded[n + 1:3 * n:2] = _half_step(samples, 0)
     windows = sliding_window_view(padded, 2 * n - 1)
     conj_windows = sliding_window_view(padded.conj(), 2 * n - 1)
 
@@ -310,16 +308,20 @@ def _pure_lags(samples: np.ndarray):
 
 def _kernel_lags(kernel: np.ndarray):
     """Lag rows kup[2k - l, 2k + l] of a general kernel, laid out as in
-    _pure_lags, from its 2n x 2n band-limited upsampling kup."""
+    _pure_lags, kup its 2n x 2n interpolation: even l reads K[k - l/2,
+    k + l/2], odd l reads K_h[k - (l+1)/2, k + (l-1)/2], K_h = K moved half
+    a step along both axes."""
     n = len(kernel)
-    fine = _upsample_axis(_upsample_axis(kernel, 0), 1).ravel()
+    tables = np.concatenate([kernel.ravel(),
+                             _half_step(_half_step(kernel, 0), 1).ravel()])
     lags = np.arange(1 - n, n)
+    offset = (lags & 1) * (n * n)
 
     def rows(k0, k1):
-        mid = 2 * np.arange(k0, k1)[:, None]
-        a, b = mid - lags, mid + lags
-        inside = (a >= 0) & (a < 2 * n) & (b >= 0) & (b < 2 * n)
-        return np.where(inside, fine[np.where(inside, a * (2 * n) + b, 0)], 0)
+        k = np.arange(k0, k1)[:, None]
+        a, b = k - (lags + 1) // 2, k + lags // 2
+        inside = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+        return np.where(inside, tables[np.where(inside, a * n + b + offset, 0)], 0)
 
     return rows
 
@@ -328,12 +330,13 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
     """Weyl-Wigner symbol w(p,q) = 2 int dr exp(2ipr/hbar) <q-r|A|q+r>.
 
     ``state`` is a GridWavefunction or a position kernel (with ``spec``).
-    The r-integral runs on a half-step grid with band-limited kernel
-    interpolation, which keeps the momentum sampling alias-free.
+    The r-integral runs on a half-step grid, which keeps the momentum
+    sampling alias-free; the kernel is moved there by one FFT per axis.
 
     A GridWavefunction whose amplitude at the grid edge exceeds 1e-10 of
     its peak (measured on |psi_i psi_j^*|, in O(n)) raises ValueError; a
-    kernel is taken as given, with no edge check.
+    kernel is taken as given, with no edge check, but must have shape
+    (n, n).
     """
     if isinstance(state, GridWavefunction):
         spec = state.spec
@@ -346,7 +349,11 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
     else:
         if spec is None:
             raise ValueError("a GridSpec is required for kernel input")
-        rows = _kernel_lags(np.asarray(state, dtype=complex))
+        kernel = np.asarray(state, dtype=complex)
+        if kernel.shape != (spec.n, spec.n):
+            raise ValueError(f"kernel shape {kernel.shape} does not match "
+                             f"the grid ({spec.n}, {spec.n})")
+        rows = _kernel_lags(kernel)
 
     # The lag l puts r at l dq/2.  l = -n (r = -L/2) has no mirror partner
     # on the half-step grid and is dropped, l running over (-n, n), to keep
@@ -382,9 +389,7 @@ def _hermitian_weyl(a: np.ndarray, dq: float, span: int) -> np.ndarray:
         table[1::2] = np.fft.ihfft(a[:, 1::2], axis=0)[1::2]
     else:
         table = np.fft.ihfft(a, axis=0)
-        shift = np.exp(1j * math.pi * np.fft.fftfreq(n))
-        shift[n // 2] = 0
-        table[1::2] = np.fft.ifft(np.fft.fft(table[1::2], axis=1) * shift, axis=1)
+        table[1::2] = _half_step(table[1::2], 1)
     table *= ((-1.0) ** np.arange(len(table)) / dq)[:, None]
     kernel = np.zeros((n, n), dtype=complex)
     flat = kernel.reshape(-1)

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ``ast``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,28 @@ def test_no_assert_or_assertion_error(path):
              if isinstance(n, ast.Assert)
              or isinstance(n, ast.Name) and n.id == "AssertionError"]
     assert found == []
+
+
+def referenced_names(node: ast.AST) -> Counter:
+    """Names and attribute names referenced under ``node``."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+    return names
+
+
+def test_no_orphaned_private_helpers():
+    """Every module-level ``_name`` function or class is referenced in the
+    package outside its own definition, so a helper whose last caller is
+    gone does not stay behind."""
+    trees = {path.stem: parse(path) for path in sorted(PKG.glob("*.py"))}
+    used = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    orphans = [f"{module}.{node.name}"
+               for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and used[node.name] == referenced_names(node)[node.name]]
+    assert orphans == []

@@ -146,6 +146,11 @@ class TestWigner:
         with pytest.raises(ValueError, match="edge"):
             wigner_transform(psi)
 
+    @pytest.mark.parametrize("shape", [(32, 32), (128, 128), (64, 32)])
+    def test_rejects_kernel_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="does not match the grid"):
+            wigner_transform(np.zeros(shape, dtype=complex), GridSpec(64, 16.0))
+
     def test_isometry(self):
         psi = gaussian_packet(SPEC, alpha2=1.0)
         chi = gaussian_packet(SPEC, alpha2=0.8, q0=0.7, p0=0.4)
@@ -203,6 +208,21 @@ class TestQuantization:
             tracemalloc.stop()
         assert peak <= 2.5 * kernel.nbytes
 
+    def test_kernel_wigner_peak_allocation_within_budget(self):
+        # O(n^2) budget: the two n x n tables the lags read (2 kernels),
+        # the FFT buffers that fill the half-step one, one 16 MiB block of
+        # lags with its indices, and the field.  A 2n x 2n interpolated
+        # kernel alone would take 4 kernels.
+        spec = GridSpec(n=1024, length=32.0)
+        kernel = gaussian_packet(spec, alpha2=1.0).kernel()
+        tracemalloc.start()
+        try:
+            wigner_transform(kernel, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * kernel.nbytes
+
     def test_constant_symbol_gives_identity(self):
         sym = QuadraticSymbol(c0=1.0)
         op = weyl_quantize(sym.field(SPEC), fine_symbol=sym.fine_field(SPEC))
@@ -245,6 +265,38 @@ class TestQuantization:
             err = np.max(np.abs((op - ref) @ psi.samples * spec.dq))
             worst = max(worst, err)
         assert worst < 1e-5
+
+
+class TestUnitScaling:
+    """Scaling L and hbar by s at fixed n keeps dp = 2 pi hbar/L and every
+    phase p r/hbar (r = l dq/2); only dq becomes s dq.  Samples psi/sqrt(s)
+    and kernels K/s keep their norms, so the Wigner sum
+    dq sum_l exp(2ipr/hbar) K(q - r, q + r) is unchanged and the Weyl sum
+    dp/(2 pi hbar) sum_m exp(ip(q - q')/hbar) a(p, (q + q')/2) scales by
+    1/s.  Both hold on the grid exactly, so only rounding may differ."""
+
+    TOL = 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("s", [0.3, 2.0, 7.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_transforms_map_onto_themselves(self, s, seed):
+        spec = GridSpec(n=128, length=48.0, hbar=0.7)
+        scaled = GridSpec(spec.n, s * spec.length, s * spec.hbar)
+        rng = np.random.default_rng(seed)
+        a, b = (random_smooth_state(spec, rng).samples for _ in range(2))
+        t = rng.uniform()
+        mixed = t * np.outer(a, a.conj()) + (1 - t) * np.outer(b, b.conj())
+
+        def close(got, ref):
+            return np.max(np.abs(got - ref)) <= self.TOL * np.max(np.abs(ref))
+
+        pure = wigner_transform(GridWavefunction(spec, a)).values
+        assert close(wigner_transform(GridWavefunction(scaled, a / math.sqrt(s))).values,
+                     pure)
+        w = wigner_transform(mixed, spec).values
+        assert close(wigner_transform(mixed / s, scaled).values, w)
+        assert close(weyl_quantize(PhaseSpaceField(scaled, w)),
+                     weyl_quantize(PhaseSpaceField(spec, w)) / s)
 
 
 class TestMoyal:
