@@ -22,9 +22,11 @@ O(n^2 log n) time and O(n^2) memory.
 - Functions of P are circulant kernels c[(k - k') mod n] with
   c = ifft(ifftshift(p^power)) / dq.
 - The Wigner sum over half-step lags l in (-n, n) carries the phase
-  exp(2 pi i (m - n/2) l/n), which has period n in l: lags l and l + n are
-  folded (l -> l mod n) into one n-point inverse FFT per position, and an
-  fftshift puts p = 0 in row n/2.
+  exp(2 pi i (m - n/2) l/n), which has period n in l, so lag l - n folds
+  onto l.  A Hermitian kernel has c(-l) = conj(c(l)), so only lags 0..n-1
+  are built: g[j] = c(j) + conj(c(n - j)), j = 0..n/2, is the half-spectrum
+  of a real sequence, one real inverse FFT per position gives the symbol,
+  and an fftshift puts p = 0 in row n/2.  Other kernels go by linearity.
 - One helper moves samples half a step along an axis: FFT, factor
   exp(i pi m/n) for signed m with the Nyquist term (0 at half-steps)
   dropped, inverse FFT.
@@ -32,7 +34,7 @@ O(n^2 log n) time and O(n^2) memory.
   of the parity of l: even lags from K, odd lags from K moved along both
   axes, two n x n tables.  A pure state gathers u[2k - l] conj(u[2k + l])
   from u = psi interleaved with psi moved, 2n samples.  The lags are built
-  a block of positions at a time, which bounds the transient memory.
+  a block of positions at a time, small enough to stay in L2 cache.
 - The Weyl map reads the same sum the other way: diagonal d = k - k' of
   the kernel is row d mod n of the inverse FFT along p, at the midpoints
   s = k + k' of parity d.  A real symbol gives a Hermitian kernel, so
@@ -282,26 +284,26 @@ def _half_step(values: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.ifft(f, axis=axis)
 
 
-# Cells per block of Wigner lags (16 MiB of complex128): bounds the
-# transform's transient memory independently of the grid size.
-_LAG_BLOCK_CELLS = 1 << 20
+# Cells per block of Wigner lags (1 MiB of complex128, 64 positions at
+# n = 1024): a block, its half-spectrum and its transform stay in L2 cache.
+_LAG_BLOCK_CELLS = 1 << 16
 
 
 def _pure_lags(samples: np.ndarray):
     """Lag rows of the rank-one kernel u u^dag, u[2j] = psi[j] and
     u[2j + 1] = _half_step(psi)[j]:
-    rows(k0, k1)[k - k0, l + n - 1] = u[2k - l] conj(u[2k + l]) for
-    l in (-n, n), zero where an index leaves the fine grid."""
+    rows(k0, k1)[k - k0, l] = u[2k - l] conj(u[2k + l]) for l in [0, n),
+    zero where an index leaves the fine grid."""
     n = len(samples)
     padded = np.zeros(4 * n, dtype=complex)
     padded[n:3 * n:2] = samples
     padded[n + 1:3 * n:2] = _half_step(samples, 0)
-    windows = sliding_window_view(padded, 2 * n - 1)
-    conj_windows = sliding_window_view(padded.conj(), 2 * n - 1)
+    windows = sliding_window_view(padded, n)
+    conj_windows = sliding_window_view(padded.conj(), n)
 
     def rows(k0, k1):
-        starts = slice(2 * k0 + 1, 2 * k1 + 1, 2)
-        return windows[starts, ::-1] * conj_windows[starts]
+        return (windows[2 * k0 + 1:2 * k1 + 1:2, ::-1]
+                * conj_windows[n + 2 * k0:n + 2 * k1:2])
 
     return rows
 
@@ -314,16 +316,36 @@ def _kernel_lags(kernel: np.ndarray):
     n = len(kernel)
     tables = np.concatenate([kernel.ravel(),
                              _half_step(_half_step(kernel, 0), 1).ravel()])
-    lags = np.arange(1 - n, n)
+    lags = np.arange(n)
     offset = (lags & 1) * (n * n)
 
     def rows(k0, k1):
         k = np.arange(k0, k1)[:, None]
         a, b = k - (lags + 1) // 2, k + lags // 2
-        inside = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+        inside = (a >= 0) & (b < n)
         return np.where(inside, tables[np.where(inside, a * n + b + offset, 0)], 0)
 
     return rows
+
+
+def _hermitian_wigner(rows, spec: GridSpec) -> np.ndarray:
+    """Wigner array of a Hermitian kernel from its lag rows l = 0..n-1, lag
+    l at r = l dq/2.  Lag -n (r = -L/2) has no mirror partner on the
+    half-step grid and is dropped, so g[0] = c(0) and the symbol is real."""
+    n = spec.n
+    w = np.empty((n, n))
+    step = max(1, _LAG_BLOCK_CELLS // n)
+    for k0 in range(0, n, step):
+        k1 = min(n, k0 + step)
+        c = rows(k0, k1)
+        g = c[:, :n // 2 + 1]
+        g[:, 1:] += c[:, n - 1:n // 2 - 1:-1].conj()
+        x = np.fft.irfft(g, n, axis=1)
+        x *= n * spec.dq
+        # fftshift along p, transposed into the [p, q] layout
+        w[:n // 2, k0:k1] = x[:, n // 2:].T
+        w[n // 2:, k0:k1] = x[:, :n // 2].T
+    return w
 
 
 def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
@@ -332,6 +354,10 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
     ``state`` is a GridWavefunction or a position kernel (with ``spec``).
     The r-integral runs on a half-step grid, which keeps the momentum
     sampling alias-free; the kernel is moved there by one FFT per axis.
+    A Hermitian kernel has a real symbol, built from the lags r >= 0 by one
+    real inverse FFT per position.  Any other K goes by linearity, W(K) =
+    W(H) + i W(A) with H = (K + K^dag)/2, A = (K - K^dag)/2i: W(H) is
+    returned, and max|W(A)| > 1e-8 max(1, max|W(H)|) raises ValueError.
 
     A GridWavefunction whose amplitude at the grid edge exceeds 1e-10 of
     its peak (measured on |psi_i psi_j^*|, in O(n)) raises ValueError; a
@@ -345,38 +371,25 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
         edge, peak = max(amp[0], amp[-1]) * amp.max(), amp.max() ** 2
         if edge > 1e-10 * peak:
             raise ValueError("kernel support reaches the grid edge")
-        rows = _pure_lags(state.samples)
-    else:
-        if spec is None:
-            raise ValueError("a GridSpec is required for kernel input")
-        kernel = np.asarray(state, dtype=complex)
-        if kernel.shape != (spec.n, spec.n):
-            raise ValueError(f"kernel shape {kernel.shape} does not match "
-                             f"the grid ({spec.n}, {spec.n})")
-        rows = _kernel_lags(kernel)
-
-    # The lag l puts r at l dq/2.  l = -n (r = -L/2) has no mirror partner
-    # on the half-step grid and is dropped, l running over (-n, n), to keep
-    # the quadrature symmetric under r -> -r, which makes the transform of
-    # a Hermitian kernel exactly real.
-    n = spec.n
-    w = np.empty((n, n))
-    imag = real = 0.0
-    step = max(1, _LAG_BLOCK_CELLS // (2 * n))
-    for k0 in range(0, n, step):
-        k1 = min(n, k0 + step)
-        f = rows(k0, k1)
-        # exp(2 pi i (m - n/2) l/n) has period n in l: fold lag l - n onto l
-        f[:, n:] += f[:, :n - 1]
-        x = np.fft.ifft(f[:, n - 1:], axis=1)
-        x *= n * spec.dq
-        imag = max(imag, float(np.abs(x.imag).max()))
-        real = max(real, float(np.abs(x.real).max()))
-        # fftshift along p, transposed into the [p, q] layout
-        w[:n // 2, k0:k1] = x.real[:, n // 2:].T
-        w[n // 2:, k0:k1] = x.real[:, :n // 2].T
-    if imag > 1e-8 * max(1.0, real):
-        raise ValueError(f"Wigner transform has imaginary residue {imag:.3e}")
+        return PhaseSpaceField(spec, _hermitian_wigner(_pure_lags(state.samples), spec))
+    if spec is None:
+        raise ValueError("a GridSpec is required for kernel input")
+    kernel = np.asarray(state, dtype=complex)
+    if kernel.shape != (spec.n, spec.n):
+        raise ValueError(f"kernel shape {kernel.shape} does not match "
+                         f"the grid ({spec.n}, {spec.n})")
+    if np.array_equal(kernel, kernel.conj().T):
+        return PhaseSpaceField(spec, _hermitian_wigner(_kernel_lags(kernel), spec))
+    hermitian = (kernel + kernel.conj().T) / 2
+    anti = (kernel - hermitian) / 1j
+    w = _hermitian_wigner(_kernel_lags(hermitian), spec)
+    # |W(A)| <= dq (2n - 1) max|kup_A| <= dq (2n - 1) ||A||_F (the half-step
+    # move has norm 1): W(A) is computed only when that bound is too large
+    tol = 1e-8 * max(1.0, float(np.abs(w).max()))
+    if spec.dq * (2 * spec.n - 1) * np.linalg.norm(anti) > tol:
+        imag = float(np.abs(_hermitian_wigner(_kernel_lags(anti), spec)).max())
+        if imag > tol:
+            raise ValueError(f"Wigner transform has imaginary residue {imag:.3e}")
     return PhaseSpaceField(spec, w)
 
 

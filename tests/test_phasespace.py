@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qdesk import phasespace
 from qdesk.phasespace import (
     GridSpec,
     GridWavefunction,
@@ -151,6 +152,16 @@ class TestWigner:
         with pytest.raises(ValueError, match="does not match the grid"):
             wigner_transform(np.zeros(shape, dtype=complex), GridSpec(64, 16.0))
 
+    @pytest.mark.parametrize("positions", [1, 3, SPEC.n])
+    def test_blocks_do_not_change_bits(self, monkeypatch, positions):
+        psi = gaussian_packet(SPEC, alpha2=0.8, gamma=0.2, q0=0.5, p0=-0.3)
+        chi = gaussian_packet(SPEC, alpha2=1.0, q0=-1.0, p0=0.6)
+        mixed = 0.4 * psi.kernel() + 0.6 * chi.kernel()
+        pure, kernel = wigner_transform(psi).values, wigner_transform(mixed, SPEC).values
+        monkeypatch.setattr(phasespace, "_LAG_BLOCK_CELLS", positions * SPEC.n)
+        assert np.array_equal(wigner_transform(psi).values, pure)
+        assert np.array_equal(wigner_transform(mixed, SPEC).values, kernel)
+
     def test_isometry(self):
         psi = gaussian_packet(SPEC, alpha2=1.0)
         chi = gaussian_packet(SPEC, alpha2=0.8, q0=0.7, p0=0.4)
@@ -158,6 +169,56 @@ class TestWigner:
         assert res["relative_error"] < 1e-6
         res2 = isometry_check(psi.kernel(), psi.kernel(), SPEC)
         assert res2["relative_error"] < 1e-6
+
+
+class TestWignerLinearity:
+    """A kernel that is not exactly Hermitian is transformed as
+    W(H) + i W(A), H = (K + K^dag)/2, A = (K - K^dag)/2i; W(A) above 1e-8
+    of max(1, max|W(H)|) is an error, below it W(H) is returned."""
+
+    def mixture(self):
+        psi = gaussian_packet(SPEC, alpha2=0.8, gamma=0.2, q0=1.0, p0=0.5)
+        chi = gaussian_packet(SPEC, alpha2=0.9, q0=-1.5, p0=-0.4)
+        return 0.3 * psi.kernel() + 0.7 * chi.kernel()
+
+    def random_hermitian(self, seed):
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal((SPEC.n, SPEC.n)) + 1j * rng.standard_normal((SPEC.n, SPEC.n))
+        return (r + r.conj().T) / 2
+
+    def test_anti_hermitian_part_raises(self):
+        b = self.random_hermitian(0)
+        eps = 1e-6 / np.max(np.abs(wigner_transform(b, SPEC).values))
+        with pytest.raises(ValueError, match="imaginary residue"):
+            wigner_transform(self.mixture() + 1j * eps * b, SPEC)
+
+    def test_exactly_hermitian_mixture_passes(self):
+        # numpy's complex products need not round symmetrically (here they
+        # do not), so outer products are made exactly Hermitian
+        mixture = self.mixture()
+        kernel = (mixture + mixture.conj().T) / 2
+        assert np.array_equal(kernel, kernel.conj().T)
+        w = wigner_transform(kernel, SPEC)
+        assert abs(w.normalization() - 1.0) < 1e-8
+
+    def test_residue_below_tolerance_returns_hermitian_part(self):
+        # max|W(A)| = 1e-9 is too large for the norm bound to clear, so
+        # W(A) is computed, and it lies below the tolerance
+        b = self.random_hermitian(2)
+        eps = 1e-9 / np.max(np.abs(wigner_transform(b, SPEC).values))
+        assert SPEC.dq * (2 * SPEC.n - 1) * eps * np.linalg.norm(b) > 2e-8
+        kernel = self.mixture() + 1j * eps * b
+        hermitian = (kernel + kernel.conj().T) / 2
+        got = wigner_transform(kernel, SPEC).values
+        assert np.max(np.abs(got - wigner_transform(hermitian, SPEC).values)) <= 1e-15
+
+    def test_rounding_noise_returns_hermitian_part(self):
+        kernel = self.mixture()
+        noisy = kernel + 1e-14j * np.max(np.abs(kernel)) * self.random_hermitian(1)
+        assert not np.array_equal(noisy, noisy.conj().T)
+        hermitian = (noisy + noisy.conj().T) / 2
+        got = wigner_transform(noisy, SPEC).values
+        assert np.max(np.abs(got - wigner_transform(hermitian, SPEC).values)) <= 1e-15
 
 
 class TestHusimi:
@@ -208,11 +269,24 @@ class TestQuantization:
             tracemalloc.stop()
         assert peak <= 2.5 * kernel.nbytes
 
+    def test_pure_wigner_peak_allocation_within_budget(self):
+        # the field (8 n^2 bytes) and one L2-sized block of lags with its
+        # half-spectrum; a block of all n positions would need 2 fields
+        spec = GridSpec(n=1024, length=32.0)
+        psi = gaussian_packet(spec, alpha2=1.0)
+        tracemalloc.start()
+        try:
+            field = wigner_transform(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * field.values.nbytes
+
     def test_kernel_wigner_peak_allocation_within_budget(self):
         # O(n^2) budget: the two n x n tables the lags read (2 kernels),
-        # the FFT buffers that fill the half-step one, one 16 MiB block of
-        # lags with its indices, and the field.  A 2n x 2n interpolated
-        # kernel alone would take 4 kernels.
+        # the FFT buffers that fill the half-step one, one block of lags
+        # with its indices, and the field.  A 2n x 2n interpolated kernel
+        # alone would take 4 kernels.
         spec = GridSpec(n=1024, length=32.0)
         kernel = gaussian_packet(spec, alpha2=1.0).kernel()
         tracemalloc.start()

@@ -166,6 +166,31 @@ class TestAgainstDenseSums:
         assert rel_err(got, ref) < TOL
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+class TestWignerHermitianHalf:
+    """wigner_transform folds lags n - j onto j and transforms the half
+    j = 0..n/2; on these grids every row reaches g[0] and the Nyquist
+    term g[n/2].  Pure states on them reach the grid edge, so the input is
+    a random kernel."""
+
+    def test_small_grids(self, n):
+        length, hbar = 3.0, 0.8
+        rng = np.random.default_rng(n)
+        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        kernel = (r + r.conj().T) / 2
+        assert np.array_equal(kernel, kernel.conj().T)
+        got = wigner_transform(kernel, GridSpec(n, length, hbar)).values
+        assert rel_err(got, wigner_oracle(kernel, n, length, hbar)) < TOL
+
+    def test_mixed_kernel(self, n):
+        length, hbar = 3.0, 0.8
+        rng = np.random.default_rng(n + 1)
+        v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        kernel = (v * [0.5, 0.3, 0.2]) @ v.conj().T
+        got = wigner_transform(kernel, GridSpec(n, length, hbar)).values
+        assert rel_err(got, wigner_oracle(kernel, n, length, hbar)) < TOL
+
+
 @pytest.mark.parametrize("compact", [True, False])
 class TestWeylHermitianHalf:
     """weyl_quantize builds the kernel of a real symbol from separations
