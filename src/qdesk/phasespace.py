@@ -40,6 +40,11 @@ O(n^2 log n) time and O(n^2) memory.
   s = k + k' of parity d.  A real symbol gives a Hermitian kernel, so
   ihfft yields the rows d = 0..n/2 and conjugation the rest.  Odd rows
   move half a step along q.
+- Gaussian smoothing transforms along q, the contiguous axis, in full and
+  along p only on the q-band: the q-frequencies up to the last whose
+  Gaussian factor, normalized to 1 at frequency 0, exceeds 2^-52.  The
+  rest are set to 0, which moves each value by at most 2^-52 times the
+  root sum of squares of the field (Cauchy-Schwarz and Parseval).
 """
 
 from __future__ import annotations
@@ -148,6 +153,9 @@ def gaussian_packet(spec: GridSpec, alpha2: float, gamma: float = 0.0,
                     q0: float = 0.0, p0: float = 0.0) -> GridWavefunction:
     """Gaussian packet exp(-(q-q0)^2/(4 alpha2)) exp(i gamma (q-q0)^2/hbar)
     exp(i p0 (q-q0)/hbar); its momentum-position covariance is 2*gamma*alpha2.
+
+    ValueError when its amplitude at the position or the momentum edge of
+    the grid exceeds 1e-12 of its peak.
     """
     if alpha2 <= 0:
         raise ValueError("alpha2 must be positive")
@@ -158,7 +166,9 @@ def gaussian_packet(spec: GridSpec, alpha2: float, gamma: float = 0.0,
         raise ValueError(f"packet too wide for grid: edge amplitude {edge:.3e}")
     psi = env * np.exp(1j * (gamma * q ** 2 + p0 * q) / spec.hbar)
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * spec.dq)
-    return GridWavefunction(spec, psi)
+    packet = GridWavefunction(spec, psi)
+    _check_momentum_edge(packet, 1e-12)
+    return packet
 
 
 def _momentum_sign(n: int) -> np.ndarray:
@@ -171,6 +181,17 @@ def to_momentum(psi: GridWavefunction) -> np.ndarray:
     spec = psi.spec
     return ((spec.dq / math.sqrt(2 * math.pi * spec.hbar)) * _momentum_sign(spec.n)
             * np.fft.fftshift(np.fft.fft(psi.samples)))
+
+
+def _check_momentum_edge(psi: GridWavefunction, tol: float) -> None:
+    """ValueError when |psi_hat| at the momentum edges exceeds ``tol`` of
+    its peak: the band +-pi hbar/dq cuts the state off and its momentum
+    samples alias."""
+    amp = np.abs(to_momentum(psi))
+    edge = max(amp[0], amp[-1]) / amp.max()
+    if edge > tol:
+        raise ValueError(f"state not resolved in momentum: edge amplitude "
+                         f"{edge:.3e} of the peak at |p| = pi hbar/dq")
 
 
 def from_momentum(spec: GridSpec, psi_hat: np.ndarray) -> np.ndarray:
@@ -360,9 +381,10 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
     returned, and max|W(A)| > 1e-8 max(1, max|W(H)|) raises ValueError.
 
     A GridWavefunction whose amplitude at the grid edge exceeds 1e-10 of
-    its peak (measured on |psi_i psi_j^*|, in O(n)) raises ValueError; a
-    kernel is taken as given, with no edge check, but must have shape
-    (n, n).
+    its peak (measured on |psi_i psi_j^*|, in O(n)), or whose |psi_hat| at
+    the momentum edge exceeds 1e-10 of its peak (one FFT), raises
+    ValueError; a kernel is taken as given, with no edge check, but must
+    have shape (n, n).
     """
     if isinstance(state, GridWavefunction):
         spec = state.spec
@@ -371,6 +393,7 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
         edge, peak = max(amp[0], amp[-1]) * amp.max(), amp.max() ** 2
         if edge > 1e-10 * peak:
             raise ValueError("kernel support reaches the grid edge")
+        _check_momentum_edge(state, 1e-10)
         return PhaseSpaceField(spec, _hermitian_wigner(_pure_lags(state.samples), spec))
     if spec is None:
         raise ValueError("a GridSpec is required for kernel input")
@@ -467,20 +490,52 @@ def isometry_check(a_kernel: np.ndarray, b_kernel: np.ndarray, spec: GridSpec) -
     }
 
 
+# q-frequencies whose Gaussian factor, normalized to 1 at frequency 0, is at
+# or below the rounding floor of that 1 are dropped by gauss_smooth
+_SMOOTH_FLOOR = 2.0 ** -52
+
+
+def _smooth_band(values: np.ndarray, p_factor: np.ndarray,
+                 q_band: np.ndarray) -> np.ndarray:
+    """Real field ``values`` times p_factor (n x 1) and q_band in the
+    Fourier domain, with q-frequencies past len(q_band) set to 0."""
+    keep = len(q_band)
+    spectrum = np.fft.rfft(values, axis=1)
+    band = spectrum[:, :keep]
+    np.fft.fft(band, axis=0, out=band)
+    band *= p_factor
+    band *= q_band
+    np.fft.ifft(band, axis=0, out=band)
+    spectrum[:, keep:] = 0
+    return np.fft.irfft(spectrum, values.shape[1], axis=1)
+
+
 def gauss_smooth(w: PhaseSpaceField, sp2: float, sq2: float) -> PhaseSpaceField:
     """Convolution with the product Gaussian of variances (sp2, sq2);
-    at sp2*sq2 = hbar^2/4 the result is the Husimi density."""
-    if sp2 <= 0 or sq2 <= 0:
-        raise ValueError("smoothing variances must be positive")
+    at sp2*sq2 = hbar^2/4 the result is the Husimi density.
+
+    The Gaussian is separable, so its transform is the product of a
+    p-factor and a q-factor, each normalized to 1 at frequency 0.  The field
+    is transformed along q in full, and along p only on the q-frequencies
+    up to the last whose factor exceeds 2^-52; the rest are set to 0.  That
+    moves each value by at most 2^-52 ||W||_2, the root sum of squares of
+    the n^2 values (sum W^2 is about n for a pure state).  A complex field
+    is smoothed by linearity, S(Re w) + i S(Im w), the second term only when
+    Im w is nonzero.  Variances must be finite and positive.
+    """
+    if not all(math.isfinite(v) and v > 0 for v in (sp2, sq2)):
+        raise ValueError("smoothing variances must be finite and positive")
     spec = w.spec
-    # the Gaussian is separable, so its 2-d transform is an outer product of
-    # 1-d ones, applied by broadcasting; both factors are real fields
     gp = np.fft.ifftshift(np.exp(-spec.momentum_grid() ** 2 / (2 * sp2)))
     gq = np.fft.ifftshift(np.exp(-spec.position_grid() ** 2 / (2 * sq2)))
-    spectrum = np.fft.rfft2(w.values.real)
-    spectrum *= np.fft.fft(gp)[:, None] / gp.sum()
-    spectrum *= np.fft.rfft(gq)[None, :] / gq.sum()
-    return PhaseSpaceField(spec, np.fft.irfft2(spectrum, s=(spec.n, spec.n)))
+    p_factor = np.fft.fft(gp)[:, None] / gp.sum()
+    q_factor = np.fft.rfft(gq) / gq.sum()
+    q_band = q_factor[:np.flatnonzero(np.abs(q_factor) > _SMOOTH_FLOOR)[-1] + 1]
+    values = w.values
+    smoothed = _smooth_band(values.real, p_factor, q_band)
+    if np.iscomplexobj(values) and np.any(values.imag):
+        smoothed = smoothed + 1j * _smooth_band(values.imag, p_factor, q_band)
+    return PhaseSpaceField(spec, smoothed)
 
 
 class QuadraticSymbol:

@@ -183,6 +183,20 @@ class TestExitCodes:
         code, _ = run_cli(capsys, *argv)
         assert code == 2
 
+    @pytest.mark.parametrize("scenario", ["entropic", "wigner"])
+    @pytest.mark.parametrize("hbar,expected", [("0.01", 2), ("0.12", 2), ("0.13", 0)])
+    def test_momentum_edge_boundary(self, capsys, scenario, hbar, expected):
+        # both scenarios build the chirped packet.  At hbar = 0.01 the default
+        # grid cuts momentum at pi hbar/dq = 0.5 and the packet reaches
+        # |p| ~ 3; its edge amplitude crosses the 1e-12 of the position check
+        # between hbar = 0.12 and 0.13 (about 3e-11 and 4e-13 of its peak)
+        code = cli.main(["--scenario", scenario, "--hbar", hbar])
+        captured = capsys.readouterr()
+        assert code == expected
+        if expected == 2:
+            assert captured.out == ""
+            assert "not resolved in momentum" in captured.err
+
     def test_check_failure_exits_1(self, capsys, monkeypatch):
         def failing(cfg):
             return {"value": 0.0}, {"always_fails": False}, None

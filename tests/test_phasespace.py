@@ -45,6 +45,15 @@ def random_smooth_state(spec, rng):
     return GridWavefunction(spec, v)
 
 
+def momentum_localized(spec, samples):
+    """``samples`` with their momentum samples under a Gaussian envelope
+    too, so that the state is resolved at both grid edges."""
+    k = np.fft.fftfreq(spec.n, 1 / spec.n)
+    v = np.fft.ifft(np.fft.fft(samples) * np.exp(-(k / 8) ** 2))
+    v /= math.sqrt(np.sum(np.abs(v) ** 2) * spec.dq)
+    return GridWavefunction(spec, v)
+
+
 def excited_state(spec):
     """First excited oscillator state on the grid."""
     q = spec.position_grid()
@@ -119,6 +128,23 @@ class TestPackets:
         with pytest.raises(ValueError, match="wide"):
             gaussian_packet(SPEC, alpha2=100.0)
 
+    @pytest.mark.parametrize("n,hbar,resolved", [(512, 0.01, False),
+                                                 (512, 0.12, False), (512, 0.13, True),
+                                                 (1024, 0.06, False), (1024, 0.065, True)])
+    def test_momentum_edge_boundary(self, n, hbar, resolved):
+        # |psi_hat(p)| / peak = exp(-p^2 / (4 sp2)), sp2 = hbar^2/(4 alpha2)
+        # + 4 gamma^2 alpha2; the samples at p = -pi hbar/dq hold both edges'
+        # tails, up to twice that.  Packets pass iff it is at most 1e-12.
+        spec = GridSpec(n=n, length=32.0, hbar=hbar)
+        sp2 = hbar ** 2 / 4 + 4 * 0.3 ** 2
+        ratio = math.exp(-(math.pi * hbar / spec.dq) ** 2 / (4 * sp2))
+        assert 2 * ratio <= 1e-12 if resolved else ratio > 1e-12
+        if resolved:
+            gaussian_packet(spec, alpha2=1.0, gamma=0.3)
+        else:
+            with pytest.raises(ValueError, match="not resolved in momentum"):
+                gaussian_packet(spec, alpha2=1.0, gamma=0.3)
+
 
 class TestWigner:
     def test_pure_state_properties(self):
@@ -145,6 +171,16 @@ class TestWigner:
         v = np.full(SPEC.n, 1.0 / math.sqrt(SPEC.length), dtype=complex)
         psi = GridWavefunction(SPEC, v)
         with pytest.raises(ValueError, match="edge"):
+            wigner_transform(psi)
+
+    def test_rejects_state_unresolved_in_momentum(self):
+        # localized in position, white in momentum up to the band edge
+        rng = np.random.default_rng(0)
+        q = SPEC.position_grid()
+        v = np.exp(-q ** 2 / 2) * (rng.standard_normal(SPEC.n)
+                                   + 1j * rng.standard_normal(SPEC.n))
+        psi = GridWavefunction(SPEC, v / math.sqrt(np.sum(np.abs(v) ** 2) * SPEC.dq))
+        with pytest.raises(ValueError, match="not resolved in momentum"):
             wigner_transform(psi)
 
     @pytest.mark.parametrize("shape", [(32, 32), (128, 128), (64, 32)])
@@ -237,6 +273,26 @@ class TestHusimi:
         w = wigner_transform(gaussian_packet(SPEC, alpha2=1.0))
         with pytest.raises(ValueError):
             gauss_smooth(w, 0.0, 1.0)
+
+    @pytest.mark.parametrize("sp2,sq2", [(math.nan, 0.5), (0.5, math.nan),
+                                         (math.inf, 0.5), (0.5, math.inf)])
+    def test_rejects_nonfinite_variance(self, sp2, sq2):
+        w = wigner_transform(gaussian_packet(SPEC, alpha2=1.0))
+        with pytest.raises(ValueError, match="finite and positive"):
+            gauss_smooth(w, sp2, sq2)
+
+    def test_peak_allocation_within_budget(self):
+        # the q-spectrum (about one field of bytes) and the returned field;
+        # the p-transforms run in place on its q-band
+        spec = GridSpec(n=1024, length=32.0)
+        w = wigner_transform(gaussian_packet(spec, alpha2=1.0))
+        tracemalloc.start()
+        try:
+            gauss_smooth(w, spec.hbar / 2, spec.hbar / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * w.values.nbytes
 
 
 class TestQuantization:
@@ -364,8 +420,11 @@ class TestUnitScaling:
         def close(got, ref):
             return np.max(np.abs(got - ref)) <= self.TOL * np.max(np.abs(ref))
 
-        pure = wigner_transform(GridWavefunction(spec, a)).values
-        assert close(wigner_transform(GridWavefunction(scaled, a / math.sqrt(s))).values,
+        # a fills the momentum band, which a wavefunction's edge check
+        # rejects; kernels are taken as given, so only this leg filters it
+        c = momentum_localized(spec, a).samples
+        pure = wigner_transform(GridWavefunction(spec, c)).values
+        assert close(wigner_transform(GridWavefunction(scaled, c / math.sqrt(s))).values,
                      pure)
         w = wigner_transform(mixed, spec).values
         assert close(wigner_transform(mixed / s, scaled).values, w)

@@ -20,6 +20,7 @@ from qdesk.phasespace import (
     PhaseSpaceField,
     QuadraticSymbol,
     from_momentum,
+    gauss_smooth,
     grid_hamiltonian,
     momentum_kernel,
     to_momentum,
@@ -233,6 +234,85 @@ class TestWeylHermitianHalf:
         field = wigner_transform(two_packet_state(n, length, hbar))
         kernel = weyl_quantize(field, compact=compact)
         assert np.array_equal(kernel, kernel.conj().T)
+
+
+def gaussian_circulant(n, step, var):
+    """C[i, j] = exp(-(d step)^2/(2 var)) / (row sum), d = i - j taken
+    mod n into [-n/2, n/2)."""
+    d = (np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n - n // 2
+    c = np.exp(-(d * step) ** 2 / (2 * var))
+    return c / c[0].sum()
+
+
+def q_band_size(n, dq, sq2):
+    """Number of rfft frequencies whose normalized Gaussian factor exceeds
+    2^-52, from the factor's own DFT."""
+    d = (np.arange(n) + n // 2) % n - n // 2
+    g = np.exp(-(d * dq) ** 2 / (2 * sq2))
+    factor = np.abs(np.fft.fft(g)[:n // 2 + 1]) / g.sum()
+    return int(np.flatnonzero(factor > 2.0 ** -52)[-1]) + 1
+
+
+# Variances (sp2, sq2) from (dq, dp, hbar, L).  A q-Gaussian narrower than a
+# sample keeps every q-frequency; one of 3 samples keeps most of them; one
+# of L/18, down to 2.6e-18 at the box edge, keeps the same few on any grid.
+SMOOTHINGS = {
+    "full": lambda dq, dp, hbar, length: (hbar / 2, dq ** 2 / 2),
+    "partial": lambda dq, dp, hbar, length: (hbar / 2, (3 * dq) ** 2),
+    "narrow": lambda dq, dp, hbar, length: (dp ** 2, (length / 18) ** 2),
+}
+
+
+@pytest.mark.parametrize("n,length,hbar", GRIDS)
+@pytest.mark.parametrize("band", sorted(SMOOTHINGS))
+class TestGaussSmooth:
+    """gauss_smooth against the separable circulant sum Gp W Gq^T of the
+    sampled Gaussians, over a full, a partial and a narrow q-band."""
+
+    def setup_variances(self, band, n, length, hbar):
+        _, _, dq, dp = axes(n, length, hbar)
+        sp2, sq2 = SMOOTHINGS[band](dq, dp, hbar, length)
+        keep = q_band_size(n, dq, sq2)
+        if band == "full":
+            assert keep == n // 2 + 1
+        elif band == "partial":
+            assert n // 4 < keep <= n // 2
+        else:
+            assert keep <= 32
+        return sp2, sq2, dq, dp
+
+    def reference(self, values, n, sp2, sq2, dq, dp):
+        return gaussian_circulant(n, dp, sp2) @ values @ gaussian_circulant(n, dq, sq2).T
+
+    def test_wigner_field(self, band, n, length, hbar):
+        sp2, sq2, dq, dp = self.setup_variances(band, n, length, hbar)
+        psi = two_packet_state(n, length, hbar)
+        field = wigner_transform(psi)
+        got = gauss_smooth(field, sp2, sq2).values
+        assert got.dtype == np.float64
+        assert rel_err(got, self.reference(field.values, n, sp2, sq2, dq, dp)) < TOL
+
+    def test_white_noise_within_cut_bound(self, band, n, length, hbar):
+        # a flat spectrum puts as much weight on the dropped q-band as
+        # anywhere; the cut moves each value by at most 2^-52 ||W||_2
+        sp2, sq2, dq, dp = self.setup_variances(band, n, length, hbar)
+        values = np.random.default_rng(n).standard_normal((n, n))
+        got = gauss_smooth(PhaseSpaceField(GridSpec(n, length, hbar), values),
+                           sp2, sq2).values
+        ref = self.reference(values, n, sp2, sq2, dq, dp)
+        assert rel_err(got, ref) < TOL
+        assert np.max(np.abs(got - ref)) <= 2.0 ** -52 * np.linalg.norm(values)
+
+    def test_complex_field_by_linearity(self, band, n, length, hbar):
+        sp2, sq2, dq, dp = self.setup_variances(band, n, length, hbar)
+        rng = np.random.default_rng(n + 1)
+        values = wigner_transform(two_packet_state(n, length, hbar)).values \
+            + 1j * rng.standard_normal((n, n))
+        got = gauss_smooth(PhaseSpaceField(GridSpec(n, length, hbar), values),
+                           sp2, sq2).values
+        ref = self.reference(values, n, sp2, sq2, dq, dp)
+        assert rel_err(got.real, ref.real) < TOL
+        assert rel_err(got.imag, ref.imag) < TOL
 
 
 PACKET = st.tuples(
