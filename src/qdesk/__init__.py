@@ -2,49 +2,16 @@
 grid-discretized quantum structures — operator calculus, moment and
 entropy inequalities, phase-space (Wigner/Weyl) transforms, Feynman–Kac
 partition-function bounds, spin-1/2 hidden-variable models, and two-qubit
-Bell/Mermin checks."""
+Bell/Mermin checks.
 
-from .operators import (
-    HermitianOperator, DensityOperator, SpectralResolution,
-    eigh, func_of, tensor, partial_trace,
-    commutator, anticommutator, standardized_commutator,
-    lattice_meet, gleason_additivity_check,
-    matrix_to_json, matrix_from_json,
-)
-from .moments import (
-    MomentReport, FreeMoments,
-    expectation, moments, entropy, gibbs_state, luders_collapse,
-    purify, purification_roundtrip,
-    free_moment_evolution, covariance_sign_change_time,
-)
-from .phasespace import (
-    GridSpec, GridWavefunction, PhaseSpaceField,
-    gaussian_packet, to_momentum, from_momentum, evolve_free,
-    position_moments, momentum_moments, pq_covariance, grid_moments,
-    pseudo_classical_state, entropic_inin, variance_from_entropic,
-    wigner_transform, weyl_quantize, isometry_check, gauss_smooth,
-    moyal_poisson_check, QuadraticSymbol,
-    position_kernel, momentum_kernel, grid_hamiltonian,
-)
-from .feynman_kac import (
-    Potential, BridgePath, PartitionReport,
-    gauss_transform_potential, classical_partition, spectral_partition,
-    sample_bridge, sample_bridge_ensemble, fk_mc_partition,
-    bound_check, tau_star, monotonicity_check,
-)
-from .spin import (
-    SpinObservable, BlochState, SphereMeasureFn,
-    spin_matrix, spin_decompose, pauli_product, projection_e,
-    measure_eval, linear_fit_residual, hv_value, sample_sphere,
-    hv_analytic_expectation, hv_expectation, hv_consistency,
-    SX, SY, SZ, PAULI,
-)
-from .bell import (
-    CHSHConfig, EntropyTriangleReport, MagicSquare,
-    singlet, bell_states, entropy_triangle, fig1_config,
-    chsh_operator, chsh_value, singlet_chsh_closed_form, werner_state,
-    classical_chsh_enumeration, mermin_square, mermin_assignment_search,
-    random_density, random_separable,
-)
+The package exports each module's ``__all__``.  ``qdesk.moments`` is the
+function; the module is ``importlib.import_module("qdesk.moments")``."""
+
+from .operators import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403 - rebinds ``moments`` to the function
+from .phasespace import *  # noqa: F401,F403
+from .feynman_kac import *  # noqa: F401,F403
+from .spin import *  # noqa: F401,F403
+from .bell import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _ID4 = np.eye(4, dtype=complex)
+_SEPARABLE_MAX_TERMS = 8  # product states in a random_separable mixture
 
 
 @dataclass(frozen=True)
@@ -181,14 +182,14 @@ def mermin_square() -> tuple[MagicSquare, dict]:
     return sq, report
 
 
-def mermin_assignment_search(column_targets=(1, 1, -1), row_targets=(1, 1, 1)) -> dict:
-    """Brute-force all 512 sign patterns against the product constraints;
-    a target of None leaves that row or column unconstrained."""
+def mermin_assignment_search(column_targets=(1, 1, -1)) -> dict:
+    """Brute-force all 512 sign patterns against the product constraints:
+    each row multiplies to +1, column j to ``column_targets[j]``, and a
+    column target of None leaves that column unconstrained."""
     count = 0
     for bits in itertools.product((-1, 1), repeat=9):
         g = np.array(bits).reshape(3, 3)
-        if all(row_targets[i] is None or np.prod(g[i, :]) == row_targets[i]
-               for i in range(3)) and \
+        if all(np.prod(g[i, :]) == 1 for i in range(3)) and \
            all(column_targets[j] is None or np.prod(g[:, j]) == column_targets[j]
                for j in range(3)):
             count += 1
@@ -203,9 +204,9 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     return DensityOperator(HermitianOperator(0.5 * (m + m.conj().T)))
 
 
-def random_separable(rng: np.random.Generator, max_terms: int = 8) -> DensityOperator:
-    """Random convex mixture of at most ``max_terms`` two-qubit product states."""
-    n = int(rng.integers(1, max_terms + 1))
+def random_separable(rng: np.random.Generator) -> DensityOperator:
+    """Random convex mixture of at most 8 two-qubit product states."""
+    n = int(rng.integers(1, _SEPARABLE_MAX_TERMS + 1))
     weights = rng.dirichlet(np.ones(n))
     m = np.zeros((4, 4), dtype=complex)
     for p in weights:

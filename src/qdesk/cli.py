@@ -60,7 +60,7 @@ def _run_inin(cfg: RunConfig):
     w = bl.random_density(dim, rng)
     a, b = (_random_hermitian(dim, rng) for _ in range(2))
     rep = moments(w, a, b, hbar=cfg.hbar)
-    return json.loads(rep.to_json()), {
+    return dataclasses.asdict(rep), {
         "inin_holds": rep.inin_lhs >= rep.inin_rhs - 1e-9}, None
 
 
@@ -231,10 +231,8 @@ class RunConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.seed < 0 or self.seed >= 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        for name in ("beta", "hbar", "mass", "grid_length"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+        op._require_positive(beta=self.beta, hbar=self.hbar, mass=self.mass,
+                             grid_length=self.grid_length)
         if self.grid_n < 2 or self.grid_n & (self.grid_n - 1):
             raise ValueError("grid_n must be a power of two")
         if self.paths < 2 or self.slices < 2:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .operators import _require_positive
 from .phasespace import GridSpec, grid_hamiltonian
 
 __all__ = [
@@ -120,8 +121,8 @@ def gauss_transform_potential(v: Potential, tau: float, m: float,
     """Heat-semigroup smoothing v_tau = exp((tau hbar^2/24m) d^2/dq^2) v,
     i.e. E[v(q + xi sqrt(s))] with xi standard normal and
     s = tau hbar^2 / (12 m)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not tau >= 0:  # also rejects NaN
+        raise ValueError(f"tau must be nonnegative, got {tau!r}")
     if tau == 0:
         return v
     s = tau * hbar ** 2 / (12 * m)
@@ -182,8 +183,7 @@ def classical_partition(v: Potential, beta: float, tau: float, m: float,
                         hbar: float = 1.0) -> float:
     """(Pseudo-)classical partition function
     z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)}."""
-    if beta <= 0 or m <= 0 or hbar <= 0:
-        raise ValueError("beta, m, hbar must be positive")
+    _require_positive(beta=beta, m=m, hbar=hbar)
     vt = gauss_transform_potential(v, tau, m, hbar)
     q = _quad_grid(vt, beta)
     integrand = np.exp(-np.clip(beta * vt(q), -_EXP_FLOOR, _EXP_FLOOR))
@@ -224,8 +224,7 @@ class BridgePath:
     def __post_init__(self):
         s = np.asarray(self.slices, dtype=float)
         object.__setattr__(self, "slices", s)
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        _require_positive(beta=self.beta)
         if s.ndim != 1 or len(s) < 3:
             raise ValueError("a bridge needs at least 3 slice values")
         if s[0] != 0.0 or s[-1] != 0.0:
@@ -472,15 +471,7 @@ class PartitionReport:
             raise ValueError("lower bound exceeds upper bound")
 
     def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "z_upper": self.z_upper,
-            "z_lower": self.z_lower,
-            "mc_estimate": self.mc_estimate,
-            "mc_stderr": self.mc_stderr,
-            "spectral_reference": self.spectral_reference,
-            "tau_star": self.tau_star,
-        }
+        return asdict(self)
 
 
 def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,

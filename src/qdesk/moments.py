@@ -15,6 +15,7 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     _as_matrix,
+    _require_positive,
     eigh,
     partial_trace,
     standardized_commutator,
@@ -33,6 +34,8 @@ __all__ = [
     "free_moment_evolution",
     "covariance_sign_change_time",
 ]
+
+_COLLAPSE_TOL = 1e-12  # tr(WE) at or below it is an impossible outcome
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,7 @@ class FreeMoments:
     hbar: float
 
     def __post_init__(self):
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("mass and hbar must be positive")
+        _require_positive(mass=self.mass, hbar=self.hbar)
         if self.var_q * self.var_p < self.cov_pq ** 2 + self.hbar ** 2 / 4 - 1e-9:
             raise ValueError("moment triple violates the Kennard-Schroedinger bound")
 
@@ -86,8 +88,7 @@ def expectation(w: DensityOperator, a) -> float:
 def moments(w: DensityOperator, a, b, hbar: float = 1.0) -> MomentReport:
     """Means, variances, covariance, correlation and both sides of the
     variance indeterminacy inequality for a pair of observables."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    _require_positive(hbar=hbar)
     am, bm = _as_matrix(a), _as_matrix(b)
     mean_a = expectation(w, am)
     mean_b = expectation(w, bm)
@@ -122,8 +123,7 @@ def entropy(w) -> float:
 
 def gibbs_state(h, beta: float) -> DensityOperator:
     """exp(-beta H) / tr exp(-beta H), overflow-guarded by an energy shift."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive(beta=beta)
     res = eigh(h)
     shifted = -beta * (res.eigenvalues - res.eigenvalues.min())
     pops = np.exp(shifted)
@@ -133,12 +133,12 @@ def gibbs_state(h, beta: float) -> DensityOperator:
     return DensityOperator(HermitianOperator(m, hermiticity_tol=1e-10))
 
 
-def luders_collapse(w: DensityOperator, e, collapse_tol: float = 1e-12) -> DensityOperator:
+def luders_collapse(w: DensityOperator, e) -> DensityOperator:
     """State update W -> EWE / tr(WE) after observing the event E."""
     em = _as_matrix(e)
     prob = float(np.trace(w.matrix @ em).real)
-    if prob <= collapse_tol:
-        raise ValueError(f"impossible outcome: tr(WE) = {prob:.3e} <= {collapse_tol:.0e}")
+    if prob <= _COLLAPSE_TOL:
+        raise ValueError(f"impossible outcome: tr(WE) = {prob:.3e} <= {_COLLAPSE_TOL:.0e}")
     m = em @ w.matrix @ em / prob
     m = 0.5 * (m + m.conj().T)
     return DensityOperator(HermitianOperator(m, hermiticity_tol=1e-9), trace_tol=1e-8)
@@ -182,6 +182,5 @@ def free_moment_evolution(m0: FreeMoments, t: float) -> FreeMoments:
 
 def covariance_sign_change_time(m0: FreeMoments) -> float:
     """Time m|c|/var_p at which a negative covariance crosses zero."""
-    if m0.var_p <= 0:
-        raise ValueError("var_p must be positive")
+    _require_positive(var_p=m0.var_p)
     return m0.mass * abs(m0.cov_pq) / m0.var_p

@@ -8,6 +8,7 @@ construction, so instances can be shared freely between workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,12 @@ __all__ = [
 ]
 
 
+_PSD_TOL = -1e-10  # smallest eigenvalue a density operator may have
+_ORTHO_TOL = 1e-10  # max |V^dag V - I| of a spectral resolution
+_PROJECTION_TOL = 1e-10  # asymmetry of a projection, mu(E) range, lattice_meet step
+_MEET_MAX_ITER = 10_000
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -37,6 +44,14 @@ def _as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN/Inf entries")
     return m
+
+
+def _require_positive(**values) -> None:
+    """ValueError naming the first of ``values`` that is not finite and
+    positive; NaN and infinity fail."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _asymmetry(m: np.ndarray) -> float:
@@ -72,7 +87,6 @@ class DensityOperator:
 
     op: HermitianOperator
     trace_tol: float = 1e-10
-    psd_tol: float = -1e-10
 
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
@@ -81,9 +95,9 @@ class DensityOperator:
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond tol {self.trace_tol}")
         lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
-        if lam_min < self.psd_tol:
+        if lam_min < _PSD_TOL:
             raise ValueError(
-                f"smallest eigenvalue {lam_min:.3e} below psd tolerance {self.psd_tol:.3e}"
+                f"smallest eigenvalue {lam_min:.3e} below psd tolerance {_PSD_TOL:.3e}"
             )
 
     @property
@@ -101,7 +115,6 @@ class SpectralResolution:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    ortho_tol: float = 1e-10
 
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float)
@@ -112,7 +125,7 @@ class SpectralResolution:
             raise ValueError("eigenvalues must be sorted ascending")
         gram = v.conj().T @ v
         err = float(np.max(np.abs(gram - np.eye(v.shape[1]))))
-        if err > self.ortho_tol:
+        if err > _ORTHO_TOL:
             raise ValueError(f"eigenvectors not orthonormal: residual {err:.3e}")
 
     def reconstruct(self) -> np.ndarray:
@@ -193,50 +206,50 @@ def standardized_commutator(a, b, hbar: float) -> np.ndarray:
     return 1j / hbar * commutator(a, b)
 
 
-def _check_projection(e: np.ndarray, tol: float, name: str):
-    if _asymmetry(e) > tol:
-        raise ValueError(f"{name} is not Hermitian within {tol}")
-    if np.max(np.abs(e @ e - e)) > max(tol, 1e-9):
-        raise ValueError(f"{name} is not idempotent within {tol}")
+def _check_projection(e: np.ndarray, name: str):
+    if _asymmetry(e) > _PROJECTION_TOL:
+        raise ValueError(f"{name} is not Hermitian within {_PROJECTION_TOL}")
+    if np.max(np.abs(e @ e - e)) > 1e-9:
+        raise ValueError(f"{name} is not idempotent within 1e-9")
 
 
-def lattice_meet(e, f, max_iter: int = 10_000, tol: float = 1e-10) -> np.ndarray:
+def lattice_meet(e, f) -> np.ndarray:
     """Projection onto the intersection of two ranges via E(FE)^n.
 
     Convergence is geometric with ratio cos^2 of the principal angle between
-    the ranges; non-convergence within ``max_iter`` raises with the residual.
+    the ranges; non-convergence within 10 000 steps raises with the residual.
     """
     me, mf = _as_matrix(e), _as_matrix(f)
-    _check_projection(me, tol, "E")
-    _check_projection(mf, tol, "F")
+    _check_projection(me, "E")
+    _check_projection(mf, "F")
     x = me.copy()
-    for _ in range(max_iter):
+    for _ in range(_MEET_MAX_ITER):
         x_next = me @ (mf @ x)
-        if np.max(np.abs(x_next - x)) <= tol:
+        if np.max(np.abs(x_next - x)) <= _PROJECTION_TOL:
             # symmetrize the numerical limit: it is a projection in theory
             g = 0.5 * (x_next + x_next.conj().T)
             return g
         x = x_next
     resid = float(np.max(np.abs(me @ (mf @ x) - x)))
-    raise RuntimeError(f"lattice_meet did not converge in {max_iter} steps "
+    raise RuntimeError(f"lattice_meet did not converge in {_MEET_MAX_ITER} steps "
                        f"(residual {resid:.3e})")
 
 
-def gleason_additivity_check(w: DensityOperator, projections, tol: float = 1e-10) -> dict:
+def gleason_additivity_check(w: DensityOperator, projections) -> dict:
     """Additivity of mu(E) = tr(WE) over a pairwise-orthogonal family."""
     ps = [_as_matrix(p) for p in projections]
     for i, p in enumerate(ps):
-        _check_projection(p, tol, f"E_{i}")
+        _check_projection(p, f"E_{i}")
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
-            if np.max(np.abs(ps[i] @ ps[j])) > max(tol, 1e-9):
+            if np.max(np.abs(ps[i] @ ps[j])) > 1e-9:
                 raise ValueError(f"projections {i} and {j} are not orthogonal")
     wm = w.matrix
     mus = [float(np.trace(wm @ p).real) for p in ps]
     total = sum(ps)
     mu_sum_op = float(np.trace(wm @ total).real)
     for i, mu in enumerate(mus):
-        if not -tol <= mu <= 1 + tol:
+        if not -_PROJECTION_TOL <= mu <= 1 + _PROJECTION_TOL:
             raise ValueError(f"mu(E_{i}) = {mu} outside [0,1]")
     return {
         "mu_of_sum": mu_sum_op,

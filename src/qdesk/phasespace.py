@@ -55,6 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .operators import _require_positive
+
 __all__ = [
     "GridSpec", "GridWavefunction", "PhaseSpaceField",
     "gaussian_packet", "to_momentum", "from_momentum", "evolve_free",
@@ -64,6 +66,10 @@ __all__ = [
     "moyal_poisson_check", "QuadraticSymbol",
     "position_kernel", "momentum_kernel", "grid_hamiltonian",
 ]
+
+_NORM_TOL = 1e-8  # |norm - 1| a GridWavefunction may have
+_MOYAL_PROBES = 9  # coherent-state probes per axis in moyal_poisson_check
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -76,8 +82,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two")
-        if self.length <= 0 or self.hbar <= 0:
-            raise ValueError("length and hbar must be positive")
+        _require_positive(length=self.length, hbar=self.hbar)
 
     @property
     def dq(self) -> float:
@@ -102,7 +107,6 @@ class GridSpec:
 class GridWavefunction:
     spec: GridSpec
     samples: np.ndarray
-    norm_tol: float = 1e-8
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=complex)
@@ -110,15 +114,22 @@ class GridWavefunction:
         if s.shape != (self.spec.n,):
             raise ValueError("sample count does not match the grid")
         norm = float(np.sum(np.abs(s) ** 2) * self.spec.dq)
-        if abs(norm - 1.0) > self.norm_tol:
-            raise ValueError(f"wavefunction norm {norm} deviates from 1")
+        if not abs(norm - 1.0) <= _NORM_TOL:  # also rejects NaN
+            raise ValueError(f"samples have norm {norm}, not 1 within {_NORM_TOL}")
 
     def density(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
 
     def kernel(self) -> np.ndarray:
-        """Position kernel of the pure state |psi><psi|."""
-        return np.outer(self.samples, self.samples.conj())
+        """Position kernel psi_j conj(psi_k) of the pure state |psi><psi|,
+        exactly Hermitian: with psi = a + ib its real part aa^T + bb^T is a
+        sum of symmetric products and its imaginary part ba^T - ab^T
+        antisymmetric, term by term."""
+        a, b = self.samples.real, self.samples.imag
+        k = np.empty((self.spec.n, self.spec.n), dtype=complex)
+        k.real = np.outer(a, a) + np.outer(b, b)
+        k.imag = np.outer(b, a) - np.outer(a, b)
+        return k
 
 
 @dataclass(frozen=True)
@@ -157,17 +168,13 @@ def gaussian_packet(spec: GridSpec, alpha2: float, gamma: float = 0.0,
     ValueError when its amplitude at the position or the momentum edge of
     the grid exceeds 1e-12 of its peak.
     """
-    if alpha2 <= 0:
-        raise ValueError("alpha2 must be positive")
+    _require_positive(alpha2=alpha2)
     q = spec.position_grid() - q0
     env = (2 * math.pi * alpha2) ** -0.25 * np.exp(-q ** 2 / (4 * alpha2))
-    edge = max(env[0], env[-1]) / env.max()
-    if edge > 1e-12:
-        raise ValueError(f"packet too wide for grid: edge amplitude {edge:.3e}")
     psi = env * np.exp(1j * (gamma * q ** 2 + p0 * q) / spec.hbar)
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * spec.dq)
     packet = GridWavefunction(spec, psi)
-    _check_momentum_edge(packet, 1e-12)
+    _check_edges(packet, 1e-12)
     return packet
 
 
@@ -183,15 +190,15 @@ def to_momentum(psi: GridWavefunction) -> np.ndarray:
             * np.fft.fftshift(np.fft.fft(psi.samples)))
 
 
-def _check_momentum_edge(psi: GridWavefunction, tol: float) -> None:
-    """ValueError when |psi_hat| at the momentum edges exceeds ``tol`` of
-    its peak: the band +-pi hbar/dq cuts the state off and its momentum
-    samples alias."""
-    amp = np.abs(to_momentum(psi))
-    edge = max(amp[0], amp[-1]) / amp.max()
-    if edge > tol:
-        raise ValueError(f"state not resolved in momentum: edge amplitude "
-                         f"{edge:.3e} of the peak at |p| = pi hbar/dq")
+def _check_edges(psi: GridWavefunction, tol: float) -> None:
+    """ValueError when |psi| at the position edges, or |psi_hat| at the
+    momentum edges |p| = pi hbar/dq, exceeds ``tol`` of its peak: the grid
+    cuts the state off, or its momentum samples alias."""
+    for amp, fault in ((np.abs(psi.samples), "state too wide for the grid"),
+                       (np.abs(to_momentum(psi)), "state not resolved in momentum")):
+        edge = max(amp[0], amp[-1]) / amp.max()
+        if not edge <= tol:
+            raise ValueError(f"{fault}: edge amplitude {edge:.3e} of the peak")
 
 
 def from_momentum(spec: GridSpec, psi_hat: np.ndarray) -> np.ndarray:
@@ -380,20 +387,14 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
     W(H) + i W(A) with H = (K + K^dag)/2, A = (K - K^dag)/2i: W(H) is
     returned, and max|W(A)| > 1e-8 max(1, max|W(H)|) raises ValueError.
 
-    A GridWavefunction whose amplitude at the grid edge exceeds 1e-10 of
-    its peak (measured on |psi_i psi_j^*|, in O(n)), or whose |psi_hat| at
-    the momentum edge exceeds 1e-10 of its peak (one FFT), raises
-    ValueError; a kernel is taken as given, with no edge check, but must
-    have shape (n, n).
+    A GridWavefunction whose |psi| at the grid edge, or whose |psi_hat| at
+    the momentum edge, exceeds 1e-10 of its peak raises ValueError; a
+    kernel is taken as given, with no edge check, but must have shape
+    (n, n).
     """
     if isinstance(state, GridWavefunction):
         spec = state.spec
-        amp = np.abs(state.samples)
-        # border and peak of |psi_i psi_j^*|, without forming the kernel
-        edge, peak = max(amp[0], amp[-1]) * amp.max(), amp.max() ** 2
-        if edge > 1e-10 * peak:
-            raise ValueError("kernel support reaches the grid edge")
-        _check_momentum_edge(state, 1e-10)
+        _check_edges(state, 1e-10)
         return PhaseSpaceField(spec, _hermitian_wigner(_pure_lags(state.samples), spec))
     if spec is None:
         raise ValueError("a GridSpec is required for kernel input")
@@ -523,8 +524,7 @@ def gauss_smooth(w: PhaseSpaceField, sp2: float, sq2: float) -> PhaseSpaceField:
     is smoothed by linearity, S(Re w) + i S(Im w), the second term only when
     Im w is nonzero.  Variances must be finite and positive.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (sp2, sq2)):
-        raise ValueError("smoothing variances must be finite and positive")
+    _require_positive(sp2=sp2, sq2=sq2)
     spec = w.spec
     gp = np.fft.ifftshift(np.exp(-spec.momentum_grid() ** 2 / (2 * sp2)))
     gq = np.fft.ifftshift(np.exp(-spec.position_grid() ** 2 / (2 * sq2)))
@@ -583,7 +583,7 @@ def poisson_bracket(a: "QuadraticSymbol", b: "QuadraticSymbol") -> "QuadraticSym
 
 
 def moyal_poisson_check(a: "QuadraticSymbol", b: "QuadraticSymbol",
-                        spec: GridSpec, n_probe: int = 9) -> dict:
+                        spec: GridSpec) -> dict:
     """For symbols of degree <= 2 the Moyal bracket equals the Poisson
     bracket: the Wigner symbol of (i/hbar)[A,B] must match
     da/dp db/dq - da/dq db/dp.
@@ -607,9 +607,9 @@ def moyal_poisson_check(a: "QuadraticSymbol", b: "QuadraticSymbol",
     alpha2 = min(spec.hbar / 2,
                  (spec.length / 4 - spec.dq) ** 2 / (4 * math.log(1e13)))
     smear = br.c[3] * spec.hbar ** 2 / (4 * alpha2) + br.c[4] * alpha2
-    probes_q = np.linspace(-spec.length / 4, spec.length / 4, n_probe)
+    probes_q = np.linspace(-spec.length / 4, spec.length / 4, _MOYAL_PROBES)
     p_half = math.pi * spec.hbar / spec.dq / 2
-    probes_p = np.linspace(-p_half / 2, p_half / 2, n_probe)
+    probes_p = np.linspace(-p_half / 2, p_half / 2, _MOYAL_PROBES)
 
     worst = 0.0
     scale = 1.0

@@ -30,6 +30,8 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SX, SY, SZ)
 _ID2 = np.eye(2, dtype=complex)
+_ANTISYMMETRY_TOL = 1e-10  # |m(e) + m(-e)| a sphere measure may have
+_FIT_DIRECTIONS = 200  # sampled directions in linear_fit_residual
 
 
 def _sgn(x: float) -> float:
@@ -98,7 +100,6 @@ class SphereMeasureFn:
     """
 
     m: object  # callable unit 3-vector -> float
-    antisymmetry_tol: float = 1e-10
 
     def __call__(self, e) -> float:
         val = float(self.m(np.asarray(e, dtype=float)))
@@ -136,17 +137,17 @@ def measure_eval(mfn: SphereMeasureFn, e_vec) -> float:
     """mu(E) = (1 + m(e))/2 for the projection direction e."""
     e = _unit(e_vec, "e")
     anti = abs(mfn(e) + mfn(-e))
-    if anti > mfn.antisymmetry_tol:
+    if anti > _ANTISYMMETRY_TOL:
         raise ValueError(f"m is not antisymmetric at e (residual {anti:.3e})")
     return 0.5 * (1.0 + mfn(e))
 
 
-def linear_fit_residual(mfn: SphereMeasureFn, n_dirs: int = 200, seed: int = 0) -> float:
-    """Best rms misfit of m(e) against any linear form p.e over sampled e.
+def linear_fit_residual(mfn: SphereMeasureFn, seed: int = 0) -> float:
+    """Best rms misfit of m(e) against any linear form p.e over 200 sampled e.
 
     A state-induced measure fits exactly; the sgn-type measures do not.
     """
-    dirs = sample_sphere(n_dirs, seed)
+    dirs = sample_sphere(_FIT_DIRECTIONS, seed)
     vals = np.array([mfn(d) for d in dirs])
     p, *_ = np.linalg.lstsq(dirs, vals, rcond=None)
     return float(np.sqrt(np.mean((dirs @ p - vals) ** 2)))

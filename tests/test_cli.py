@@ -180,8 +180,10 @@ class TestExitCodes:
         ("--scenario", "fk", "--potential", "0,0,nan"),
     ])
     def test_non_finite_input_exits_2(self, capsys, argv):
-        code, _ = run_cli(capsys, *argv)
+        code = cli.main(list(argv))
         assert code == 2
+        name = argv[-2].lstrip("-").replace("-", "_")
+        assert f"invalid config: {name}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario", ["entropic", "wigner"])
     @pytest.mark.parametrize("hbar,expected", [("0.01", 2), ("0.12", 2), ("0.13", 0)])

@@ -77,6 +77,11 @@ class TestGaussTransform:
     def test_tau_zero_is_identity(self):
         assert gauss_transform_potential(HARMONIC, 0.0, 1.0) is HARMONIC
 
+    @pytest.mark.parametrize("tau", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            gauss_transform_potential(HARMONIC, tau, 1.0)
+
     def test_callable_matches_polynomial(self):
         v = Potential.from_callable(lambda q: 0.25 * q ** 4)
         vt_a = gauss_transform_potential(v, 1.5, 1.0)
@@ -96,6 +101,14 @@ class TestClassicalPartition:
         v = Potential.polynomial([0.0, 0.0, -1.0])
         with pytest.raises(ValueError, match="divergent"):
             classical_partition(v, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("beta,m,hbar,name", [
+        (math.nan, 1.0, 1.0, "beta"), (math.inf, 1.0, 1.0, "beta"),
+        (2.0, math.inf, 1.0, "m"), (2.0, math.nan, 1.0, "m"),
+        (2.0, 1.0, math.nan, "hbar"), (2.0, 1.0, math.inf, "hbar")])
+    def test_rejects_non_finite_parameters(self, beta, m, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            classical_partition(HARMONIC, beta, 0.0, m, hbar)
 
 
 class TestSpectralReference:
@@ -197,6 +210,11 @@ class TestBridges:
     def test_bridge_rejects_unpinned(self):
         with pytest.raises(ValueError):
             BridgePath(1.0, np.array([0.0, 0.5, 0.1]))
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_bridge_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            BridgePath(beta, np.zeros(5))
 
 
 class TestMonteCarlo:

@@ -1,10 +1,15 @@
-"""Static checks on the package source, with the standard library's ``ast``."""
+"""Checks on the package source, with the standard library's ``ast``, and on
+the names the package exports."""
 
 import ast
+import importlib
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import qdesk
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "qdesk"
 MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
@@ -23,13 +28,17 @@ def declared_all(tree: ast.Module) -> set:
 
 
 def test_package_exports_are_in_module_all():
-    missing = []
-    for node in parse(PKG / "__init__.py").body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            exported = declared_all(parse(PKG / f"{node.module}.py"))
-            missing += [f"{node.module}.{a.name}" for a in node.names
-                        if a.name not in exported]
-    assert missing == []
+    """The package exports exactly the modules' ``__all__`` lists, each name
+    bound to its module's object; ``qdesk.moments`` is the function."""
+    modules = {p.stem: importlib.import_module(f"qdesk.{p.stem}") for p in MODULES
+               if p.stem != "cli"}
+    exported = {name: module for module in modules.values() for name in module.__all__}
+    public = {name for name, value in vars(qdesk).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(exported)
+    assert all(getattr(qdesk, name) is getattr(module, name)
+               for name, module in exported.items())
+    assert qdesk.moments is modules["moments"].moments
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -1,6 +1,7 @@
 """Tests for moment reports, uncertainty relations, and free evolution."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -95,6 +96,13 @@ class TestRobertsonSchroedinger:
         rep = moments(w, random_hermitian(3, rng), random_hermitian(3, rng))
         assert rep.inin_lhs < rep.inin_rhs - 1e-9
 
+    @pytest.mark.parametrize("hbar", [math.nan, math.inf, 0.0])
+    def test_rejects_invalid_hbar(self, hbar):
+        rng = np.random.default_rng(0)
+        w = random_density(2, rng)
+        with pytest.raises(ValueError, match="hbar must be finite and positive"):
+            moments(w, random_hermitian(2, rng), random_hermitian(2, rng), hbar=hbar)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="negative variance"):
             MomentReport(mean_a=0.0, mean_b=0.0, var_a=-0.1, var_b=0.1,
@@ -121,6 +129,11 @@ class TestEntropyAndGibbs:
         z = 1 + np.exp(-beta)
         assert abs(w.matrix[0, 0].real - 1 / z) < 1e-12
         assert abs(w.matrix[1, 1].real - np.exp(-beta) / z) < 1e-12
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    def test_gibbs_state_rejects_invalid_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            gibbs_state(HermitianOperator(np.diag([0.0, 1.0])), beta)
 
 
 class TestCollapse:
@@ -157,6 +170,18 @@ class TestFreeEvolution:
     def test_kennard_invariant_enforced(self):
         with pytest.raises(ValueError):
             FreeMoments(var_q=0.1, var_p=0.1, cov_pq=0.0, mass=1.0, hbar=1.0)
+
+    @pytest.mark.parametrize("mass,hbar,name", [(math.nan, 1.0, "mass"),
+                                                (math.inf, 1.0, "mass"),
+                                                (1.0, math.inf, "hbar")])
+    def test_rejects_non_finite_units(self, mass, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            FreeMoments(var_q=1.0, var_p=1.0, cov_pq=0.0, mass=mass, hbar=hbar)
+
+    def test_sign_change_time_rejects_infinite_var_p(self):
+        m0 = FreeMoments(var_q=1.0, var_p=math.inf, cov_pq=-0.3, mass=1.0, hbar=1.0)
+        with pytest.raises(ValueError, match="var_p must be finite and positive"):
+            covariance_sign_change_time(m0)
 
     def test_moment_evolution_closed_form(self):
         m0 = FreeMoments(var_q=0.5, var_p=0.7, cov_pq=-0.2, mass=2.0, hbar=1.0)

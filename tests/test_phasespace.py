@@ -74,6 +74,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n=64, length=-1.0)
 
+    @pytest.mark.parametrize("length,hbar,name", [(math.nan, 1.0, "length"),
+                                                  (math.inf, 1.0, "length"),
+                                                  (16.0, math.nan, "hbar"),
+                                                  (16.0, math.inf, "hbar")])
+    def test_rejects_non_finite(self, length, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            GridSpec(16, length, hbar)
+
+    def test_wavefunction_rejects_nan_samples(self):
+        with pytest.raises(ValueError, match="samples have norm nan"):
+            GridWavefunction(SPEC, np.full(SPEC.n, math.nan))
+
 
 class TestFourier:
     def test_parseval_fuzz(self):
@@ -127,6 +139,11 @@ class TestPackets:
     def test_packet_rejects_grid_edge_support(self):
         with pytest.raises(ValueError, match="wide"):
             gaussian_packet(SPEC, alpha2=100.0)
+
+    @pytest.mark.parametrize("alpha2", [math.nan, math.inf])
+    def test_packet_rejects_non_finite_width(self, alpha2):
+        with pytest.raises(ValueError, match="alpha2 must be finite and positive"):
+            gaussian_packet(SPEC, alpha2)
 
     @pytest.mark.parametrize("n,hbar,resolved", [(512, 0.01, False),
                                                  (512, 0.12, False), (512, 0.13, True),
@@ -197,6 +214,16 @@ class TestWigner:
         monkeypatch.setattr(phasespace, "_LAG_BLOCK_CELLS", positions * SPEC.n)
         assert np.array_equal(wigner_transform(psi).values, pure)
         assert np.array_equal(wigner_transform(mixed, SPEC).values, kernel)
+
+    def test_pure_state_kernel_is_exactly_hermitian(self):
+        # a chirped packet: np.outer(psi, psi.conj()) rounds its two
+        # triangles differently, by up to ~3e-17
+        psi = gaussian_packet(SPEC, alpha2=0.8, gamma=0.3, q0=0.5, p0=-0.3)
+        kernel = psi.kernel()
+        assert np.array_equal(kernel, kernel.conj().T)
+        assert np.max(np.abs(kernel - np.outer(psi.samples, psi.samples.conj()))) <= 1e-16
+        pure = wigner_transform(psi).values
+        assert np.max(np.abs(wigner_transform(kernel, SPEC).values - pure)) < 1e-12
 
     def test_isometry(self):
         psi = gaussian_packet(SPEC, alpha2=1.0)
@@ -275,10 +302,12 @@ class TestHusimi:
             gauss_smooth(w, 0.0, 1.0)
 
     @pytest.mark.parametrize("sp2,sq2", [(math.nan, 0.5), (0.5, math.nan),
-                                         (math.inf, 0.5), (0.5, math.inf)])
+                                         (math.inf, 0.5), (0.5, math.inf),
+                                         (-math.inf, 0.5), (0.5, -1.0)])
     def test_rejects_nonfinite_variance(self, sp2, sq2):
         w = wigner_transform(gaussian_packet(SPEC, alpha2=1.0))
-        with pytest.raises(ValueError, match="finite and positive"):
+        name = "sq2" if math.isfinite(sp2) and sp2 > 0 else "sp2"
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             gauss_smooth(w, sp2, sq2)
 
     def test_peak_allocation_within_budget(self):
