@@ -121,8 +121,9 @@ def gauss_transform_potential(v: Potential, tau: float, m: float,
     """Heat-semigroup smoothing v_tau = exp((tau hbar^2/24m) d^2/dq^2) v,
     i.e. E[v(q + xi sqrt(s))] with xi standard normal and
     s = tau hbar^2 / (12 m)."""
-    if not tau >= 0:  # also rejects NaN
-        raise ValueError(f"tau must be nonnegative, got {tau!r}")
+    _require_positive(m=m, hbar=hbar)
+    if not 0 <= tau < math.inf:  # also rejects NaN
+        raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
     if tau == 0:
         return v
     s = tau * hbar ** 2 / (12 * m)
@@ -154,14 +155,27 @@ def gauss_transform_potential(v: Potential, tau: float, m: float,
     return Potential(fn=smoothed, domain=dom)
 
 
-def _decay_radius(v: Potential, beta: float, floor: float = _EXP_FLOOR) -> float:
-    """Radius beyond which e^{-beta v} drops under the requested floor."""
+def _decay_radius(v: Potential, beta: float, floor: float = _EXP_FLOOR,
+                  bisect: bool = False) -> float:
+    """Radius beyond which e^{-beta v} drops under e^{-floor}: the first
+    power of two past it or, with ``bisect``, the crossing inside [r/2, r]
+    to 0.1%."""
+    def decayed(r: float) -> bool:
+        return beta * min(float(v(r)), float(v(-r))) > floor
+
     r = 1.0
-    while r < 2.0 ** 40:
-        if beta * min(float(v(r)), float(v(-r))) > floor:
-            return r
+    while not decayed(r):
         r *= 2
-    raise ValueError("divergent integral: e^{-beta v} does not decay")
+        if r >= 2.0 ** 40:
+            raise ValueError("divergent integral: e^{-beta v} does not decay")
+    lo = r / 2
+    while bisect and r - lo > 1e-3 * r:
+        mid = (lo + r) / 2
+        if decayed(mid):
+            r = mid
+        else:
+            lo = mid
+    return r
 
 
 def _thermal_lambda(beta: float, m: float, hbar: float) -> float:
@@ -192,25 +206,122 @@ def classical_partition(v: Potential, beta: float, tau: float, m: float,
     return float(np.trapezoid(integrand, q) / _thermal_lambda(beta, m, hbar))
 
 
+# The spectral reference's grid: a Boltzmann factor of e^{-27.7} < 1e-12
+# at the box edge and at the momentum cutoff, the three lowest eigenstates
+# under 1e-10 of their peaks at the position and momentum edges, successive
+# doublings of n agreeing to 1e-10 relative, and at most 4096 points.
+_CUTOFF_EXPONENT = 27.7
+_EDGE_TOL = 1e-10
+_SPECTRAL_RTOL = 1e-10
+_SPECTRAL_MAX_N = 4096
+
+
+class _GridSum(float):
+    """A Boltzmann sum that carries the grid it was taken on as ``grid``."""
+
+    grid: GridSpec
+
+    def __new__(cls, value: float, grid: GridSpec):
+        out = super().__new__(cls, value)
+        out.grid = grid
+        return out
+
+
+def _cutoff_exponent(spec: GridSpec, beta: float, m: float) -> float:
+    """beta p^2/2m at the grid's momentum cutoff p = pi hbar/dq."""
+    return beta * (math.pi * spec.hbar / spec.dq) ** 2 / (2 * m)
+
+
+def _first_grid(length: float, beta: float, m: float, hbar: float) -> GridSpec:
+    """The box's grid with the fewest points, a power of two >= 64, whose
+    cutoff exponent reaches _CUTOFF_EXPONENT; ValueError past the budget,
+    before anything is diagonalized."""
+    n = 64
+    while _cutoff_exponent(GridSpec(n, length, hbar), beta, m) < _CUTOFF_EXPONENT:
+        n *= 2
+        _check_budget(n)
+    return GridSpec(n, length, hbar)
+
+
+def _check_budget(n: int) -> None:
+    if n > _SPECTRAL_MAX_N:
+        raise ValueError(f"unconverged grid: the spectral reference needs more "
+                         f"than its budget of n = {_SPECTRAL_MAX_N} points")
+
+
+def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
+                   edges: bool) -> tuple[float, float, float]:
+    """sum_k e^{-beta E_k} over the eigenvalues of the grid Hamiltonian and,
+    with ``edges``, the largest amplitude of the three lowest eigenstates at
+    the position edges and at the momentum edges |p| = pi hbar/dq, each over
+    its peak (0 without; only then are eigenvectors computed)."""
+    h = grid_hamiltonian(spec, m, lambda x: float(v(x)))
+    q_edge = p_edge = 0.0
+    if edges:
+        vals, vecs = np.linalg.eigh(h)
+        low = np.abs(vecs[:, :3])
+        low_hat = np.abs(np.fft.fft(vecs[:, :3], axis=0))
+        n = spec.n
+        q_edge = float((low[[0, -1]].max(axis=0) / low.max(axis=0)).max())
+        p_edge = float((low_hat[[n // 2 - 1, n // 2]].max(axis=0)
+                        / low_hat.max(axis=0)).max())
+    else:
+        vals = np.linalg.eigvalsh(h)
+    if abs(beta * vals[0]) > _EXP_FLOOR:
+        raise ValueError(f"tr e^{{-beta H}} is outside the float range: "
+                         f"beta E_0 = {beta * vals[0]:.4g}")
+    return float(np.exp(-beta * vals).sum()), q_edge, p_edge
+
+
 def spectral_partition(v: Potential, beta: float, spec: GridSpec | None = None,
                        m: float = 1.0, hbar: float = 1.0) -> float:
-    """Independent reference: sum of e^{-beta lambda_n} over the eigenvalues
-    of the discretized Hamiltonian.  ``hbar`` sets the default grid; a given
-    ``spec`` carries its own."""
-    if spec is None:
-        r = _decay_radius(v, beta, floor=27.7)  # e^{-beta v} < 1e-12
-        spec = GridSpec(n=512, length=4 * max(r, 1.0), hbar=hbar)
-    h = grid_hamiltonian(spec, m, lambda x: float(v(x)))
-    vals, vecs = np.linalg.eigh(h)
-    edge = np.abs(vecs[[0, -1], :3]).max() * math.sqrt(spec.dq)
-    if edge > 1e-10:
-        raise ValueError(f"unconverged grid: low eigenstates reach the edge ({edge:.2e})")
-    weights = np.exp(-np.clip(beta * vals, -_EXP_FLOOR, _EXP_FLOOR))
-    gap = max(float(vals[-1] - vals[-2]), 1e-30)
-    tail = weights[-1] / max(1.0 - math.exp(-beta * gap), 1e-30)
-    if tail > 1e-8:
-        raise ValueError(f"unconverged grid: Boltzmann tail estimate {tail:.2e}")
-    return float(weights.sum())
+    """Independent reference: the sum of e^{-beta E_k} over the eigenvalues
+    of the Fourier-grid Hamiltonian, as a float whose ``grid`` attribute is
+    the GridSpec it was summed on.
+
+    Without ``spec`` the grid follows from beta, hbar and m.  The box
+    [-r, r] ends where beta v first reaches 27.7, and n is the smallest
+    power of two >= 64 whose momentum cutoff p = pi hbar/dq has
+    beta p^2/2m >= 27.7.  While one of the three lowest eigenstates exceeds
+    1e-10 of its peak at the position or momentum edge, the box doubles (n
+    starting again) if the position edge is the worse, else n doubles.
+    Then n doubles over the box until two successive sums agree within
+    1e-10 relative, and the finer sum is returned.  A grid past n = 4096
+    raises ValueError.  A given ``spec`` is used as is, after the cutoff and
+    edge tests."""
+    _require_positive(beta=beta, m=m, hbar=hbar)
+    if spec is not None:
+        cutoff = _cutoff_exponent(spec, beta, m)
+        if cutoff < _CUTOFF_EXPONENT:
+            raise ValueError(f"unconverged grid: momentum cutoff exponent "
+                             f"{cutoff:.3g} < {_CUTOFF_EXPONENT}")
+        total, q_edge, p_edge = _boltzmann_sum(v, beta, spec, m, edges=True)
+        if max(q_edge, p_edge) > _EDGE_TOL:
+            raise ValueError(f"unconverged grid: low eigenstates reach the edge "
+                             f"(position {q_edge:.2e}, momentum {p_edge:.2e} "
+                             f"of their peaks)")
+        return _GridSum(total, spec)
+    length = 2 * _decay_radius(v, beta, _CUTOFF_EXPONENT, bisect=True)
+    spec = _first_grid(length, beta, m, hbar)
+    while True:
+        total, q_edge, p_edge = _boltzmann_sum(v, beta, spec, m, edges=True)
+        if max(q_edge, p_edge) <= _EDGE_TOL:
+            break
+        # the worse edge names the fault: a box too small leaves the states
+        # a kink at its periodic edge, which also shows in momentum, and a
+        # grid too coarse leaves aliasing noise at the position edge
+        if p_edge >= q_edge:
+            _check_budget(2 * spec.n)
+            spec = GridSpec(2 * spec.n, spec.length, hbar)
+        else:
+            spec = _first_grid(2 * spec.length, beta, m, hbar)
+    while True:
+        _check_budget(2 * spec.n)
+        finer = GridSpec(2 * spec.n, spec.length, hbar)
+        finer_total, _, _ = _boltzmann_sum(v, beta, finer, m, edges=False)
+        if abs(finer_total - total) <= _SPECTRAL_RTOL * finer_total:
+            return _GridSum(finer_total, finer)
+        spec, total = finer, finer_total
 
 
 @dataclass(frozen=True)
@@ -296,6 +407,7 @@ def _bridge_rows(beta: float, m_slices: int, m: float, hbar: float, seed: int,
     the paths after the range filling the last group: a one-row product
     takes BLAS's dot or matrix-vector kernel, whose rounding differs, and
     a path's bridge would depend on how many paths share the product."""
+    _require_positive(beta=beta, m=m, hbar=hbar)
     if m_slices < 2:
         raise ValueError("m_slices must be at least 2")
     levy = _levy_matrix(beta, m_slices, m, hbar)
@@ -438,6 +550,7 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     in blocks of 512, whose arrays stay in cache, on two threads (Philox,
     ``ndtri`` and numpy release the GIL); each block writes its own slice
     of the values."""
+    _require_positive(beta=beta, m=m, hbar=hbar)
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
@@ -465,6 +578,8 @@ class PartitionReport:
     mc_stderr: float
     spectral_reference: float | None = None
     tau_star: float | None = None
+    # the grid the reference was summed on: n, length, dq, cutoff_exponent
+    spectral_grid: dict | None = None
 
     def __post_init__(self):
         if self.z_lower > self.z_upper + 1e-12:
@@ -513,7 +628,12 @@ def bound_check(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
     ts = None
     if not v.is_constant and z_lower <= spectral < z_upper:
         ts = tau_star(v, beta, m, hbar, z_target=spectral)
-    return PartitionReport(beta, z_upper, z_lower, estimate, stderr, spectral, ts)
+    grid = getattr(spectral, "grid", None)  # None from a substituted reference
+    if grid is not None:
+        grid = {"n": grid.n, "length": grid.length, "dq": grid.dq,
+                "cutoff_exponent": _cutoff_exponent(grid, beta, m)}
+    return PartitionReport(beta, z_upper, z_lower, estimate, stderr,
+                           float(spectral), ts, grid)
 
 
 def monotonicity_check(v: Potential, beta: float, m: float = 1.0,

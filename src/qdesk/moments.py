@@ -69,7 +69,8 @@ class FreeMoments:
     hbar: float
 
     def __post_init__(self):
-        _require_positive(mass=self.mass, hbar=self.hbar)
+        _require_positive(var_q=self.var_q, var_p=self.var_p, mass=self.mass,
+                          hbar=self.hbar)
         if self.var_q * self.var_p < self.cov_pq ** 2 + self.hbar ** 2 / 4 - 1e-9:
             raise ValueError("moment triple violates the Kennard-Schroedinger bound")
 
@@ -182,5 +183,4 @@ def free_moment_evolution(m0: FreeMoments, t: float) -> FreeMoments:
 
 def covariance_sign_change_time(m0: FreeMoments) -> float:
     """Time m|c|/var_p at which a negative covariance crosses zero."""
-    _require_positive(var_p=m0.var_p)
     return m0.mass * abs(m0.cov_pq) / m0.var_p

@@ -66,6 +66,22 @@ class TestScenarios:
         exact = 1.0 / (2 * math.sinh(0.5))  # beta = 2, hbar = 1/2, omega = 1
         assert abs(json.loads(out)["results"]["spectral_reference"] - exact) < 1e-10
 
+    @pytest.mark.parametrize("option,value", [
+        ("--beta", "0.05"), ("--hbar", "0.05"), ("--beta", "200"),
+        ("--mass", "0.0001"), ("--hbar", "20")])
+    def test_fk_reference_away_from_natural_units(self, capsys, option, value):
+        # hot, nearly classical, cold, light and deep quantum; the exit code
+        # is not asserted: when cold or light the Monte Carlo check fails on
+        # its own (its free bridges miss the well)
+        cli.main(["--scenario", "fk", "--paths", "2000", option, value])
+        payload = json.loads(capsys.readouterr().out)
+        cfg = payload["config"]
+        exact = 1.0 / (2 * math.sinh(cfg["beta"] * cfg["hbar"]
+                                     / (2 * math.sqrt(cfg["mass"]))))
+        assert payload["checks"]["sandwich_holds"]
+        assert abs(payload["results"]["spectral_reference"] - exact) <= 1e-10 * exact
+        assert payload["results"]["spectral_grid"]["n"] <= 4096
+
     def test_fk_bounds(self, capsys):
         code, out = run_cli(capsys, "--scenario", "fk", "--paths", "2000")
         payload = json.loads(out)
@@ -247,10 +263,15 @@ class TestExitCodes:
 
 class TestStartup:
     def test_import_leaves_scipy_special_unloaded(self):
+        # nor does the spectral reference load scipy.linalg
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
-        probe = "import sys, qdesk; print('scipy.special' in sys.modules)"
+        probe = ("import sys, qdesk\n"
+                 "loaded = lambda: [m in sys.modules for m in ('scipy.special', 'scipy.linalg')]\n"
+                 "print(loaded())\n"
+                 "qdesk.spectral_partition(qdesk.Potential.polynomial((0, 0, 0.5)), 2.0)\n"
+                 "print(loaded())")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split("\n")[:2] == ["[False, False]"] * 2

@@ -1,10 +1,13 @@
 """Tests for the path-integral partition-function bounds and MC estimator."""
 
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdesk.feynman_kac as fk
 from qdesk.feynman_kac import (
@@ -77,7 +80,7 @@ class TestGaussTransform:
     def test_tau_zero_is_identity(self):
         assert gauss_transform_potential(HARMONIC, 0.0, 1.0) is HARMONIC
 
-    @pytest.mark.parametrize("tau", [-1.0, math.nan])
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
     def test_rejects_negative_or_nan_tau(self, tau):
         with pytest.raises(ValueError, match="tau must be nonnegative"):
             gauss_transform_potential(HARMONIC, tau, 1.0)
@@ -137,6 +140,37 @@ class TestSpectralReference:
         hi = classical_partition(HARMONIC, 2.0, 0.0, 1.0)
         assert lo <= z <= hi
 
+    def test_given_spec_is_used_as_is(self):
+        spec = GridSpec(n=512, length=32.0, hbar=1.0)
+        z = spectral_partition(HARMONIC, 2.0, spec)
+        assert z.grid is spec
+        assert abs(z - SPECTRAL_HARMONIC) < 1e-10
+
+    def test_given_spec_below_momentum_cutoff_raises(self):
+        # beta (pi hbar/dq)^2/2m = 2 (pi n/32)^2/2 is 9.87 at n = 32
+        with pytest.raises(ValueError, match="momentum cutoff exponent 9.87"):
+            spectral_partition(HARMONIC, 2.0, GridSpec(n=32, length=32.0))
+
+    @pytest.mark.parametrize("n,length,edge", [
+        (64, 8.0, 0),  # the box [-4, 4] cuts the low states off (position
+        (64, 32.0, 1)])  # edge), or their momenta pass p = pi hbar/dq = 6.28
+    def test_given_spec_with_low_states_at_its_edge_raises(self, n, length, edge):
+        with pytest.raises(ValueError, match="low eigenstates reach the edge") as err:
+            spectral_partition(HARMONIC, 2.0, GridSpec(n=n, length=length))
+        amplitudes = [float(a) for a in re.findall(
+            r"(?:position|momentum) ([0-9.e+-]+)", str(err.value))]
+        assert amplitudes[edge] > max(1e-10, amplitudes[1 - edge])
+
+    def test_bound_check_reports_the_grid(self):
+        rep = bound_check(HARMONIC, 2.0, hbar=0.5, n_paths=2_000)
+        grid = rep.to_json()["spectral_grid"]
+        assert set(grid) == {"n", "length", "dq", "cutoff_exponent"}
+        assert 64 <= grid["n"] <= 4096 and grid["dq"] == grid["length"] / grid["n"]
+        # beta (pi hbar/dq)^2/2m with beta = 2, hbar = 1/2, m = 1
+        assert grid["cutoff_exponent"] == pytest.approx(
+            (math.pi * 0.5 / grid["dq"]) ** 2, rel=1e-12)
+        assert grid["cutoff_exponent"] >= 27.7
+
     def test_bound_check_returns_escaped_reference(self, monkeypatch):
         original = fk.spectral_partition
         monkeypatch.setattr(fk, "spectral_partition",
@@ -144,6 +178,148 @@ class TestSpectralReference:
         rep = bound_check(HARMONIC, 2.0, n_paths=2_000)
         assert rep.spectral_reference > rep.z_upper + 1e-8
         assert rep.tau_star is None
+
+
+def harmonic_closed_form(beta, hbar, m):
+    """1/(2 sinh(beta hbar omega/2)) for v = q^2/2, omega = 1/sqrt(m)."""
+    return 1.0 / (2 * math.sinh(beta * hbar / (2 * math.sqrt(m))))
+
+
+# beta x hbar x m around the default config: hot, cold, nearly classical,
+# deep quantum and light.  At beta = 0.05, hbar = 0.05, m = 1 the grid needs
+# n = 16384, past the budget; where beta hbar omega/2 > 720, Z is below the
+# float range.  Both are tested for their errors below.
+UNIT_GRID = [(beta, hbar, m) for beta in (0.05, 2.0, 200.0)
+             for hbar in (0.05, 1.0, 20.0) for m in (1e-4, 1.0)]
+OVER_BUDGET = (0.05, 0.05, 1.0)
+UNDERFLOWING = [u for u in UNIT_GRID if u[0] * u[1] / (2 * math.sqrt(u[2])) > 720]
+
+
+class TestSpectralGrid:
+    @pytest.mark.parametrize("beta,hbar,m", [
+        u for u in UNIT_GRID if u != OVER_BUDGET and u not in UNDERFLOWING])
+    def test_harmonic_closed_form(self, beta, hbar, m):
+        z = spectral_partition(HARMONIC, beta, m=m, hbar=hbar)
+        exact = harmonic_closed_form(beta, hbar, m)
+        assert abs(z - exact) <= 1e-10 * exact
+        assert z.grid.n <= 4096
+
+    def test_n_doubles_until_two_sums_agree(self):
+        # |q|^5 jumps in its fifth derivative, so its sums converge slowly
+        # enough in n to need a second doubling after the edge tests pass
+        v = Potential.from_callable(lambda q: np.abs(q) ** 5)
+        z = spectral_partition(v, 2.0)
+        half, quarter = (spectral_partition(v, 2.0, GridSpec(z.grid.n // k, z.grid.length))
+                         for k in (2, 4))
+        assert abs(z - half) <= 1e-10 * z < abs(half - quarter)
+
+    @pytest.mark.parametrize("beta,hbar,m", UNDERFLOWING)
+    def test_underflowing_trace_raises(self, beta, hbar, m):
+        with pytest.raises(ValueError, match="outside the float range"):
+            spectral_partition(HARMONIC, beta, m=m, hbar=hbar)
+
+    def test_budget_raises_before_any_eigensolve(self, monkeypatch):
+        def no_hamiltonian(*args):
+            raise AssertionError("a Hamiltonian was built")
+
+        monkeypatch.setattr(fk, "grid_hamiltonian", no_hamiltonian)
+        beta, hbar, m = OVER_BUDGET
+        with pytest.raises(ValueError, match="budget of n = 4096"):
+            spectral_partition(HARMONIC, beta, m=m, hbar=hbar)
+
+    @staticmethod
+    def fd_partition(coeffs, beta, hbar, m, half_width=12.0, n=4000):
+        """tr e^{-beta H} from three-point finite-difference eigenvalues on n,
+        2n and 4n interior points of [-half_width, half_width], combined by
+        two Richardson steps; levels more than 60/beta above the potential's
+        minimum are left out.  Its own error is ~1e-10."""
+        from scipy.linalg import eigh_tridiagonal
+        sums = []
+        for k in (1, 2, 4):
+            q = np.linspace(-half_width, half_width, n * k + 2)[1:-1]
+            t = hbar ** 2 / (2 * m * (q[1] - q[0]) ** 2)
+            v = np.polynomial.polynomial.polyval(q, coeffs)
+            levels = eigh_tridiagonal(
+                2 * t + v, np.full(len(q) - 1, -t), eigvals_only=True,
+                select="v", select_range=(v.min() - 1.0, v.min() + 60.0 / beta))
+            sums.append(float(np.exp(-beta * levels).sum()))
+        r1, r2 = (4 * sums[1] - sums[0]) / 3, (4 * sums[2] - sums[1]) / 3
+        return (16 * r2 - r1) / 15
+
+    @pytest.mark.parametrize("hbar,m", [(1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.0, 2.0)])
+    def test_quartic_matches_finite_differences(self, hbar, m):
+        z = spectral_partition(QUARTIC, 2.0, m=m, hbar=hbar)
+        fd = self.fd_partition(QUARTIC.coeffs, 2.0, hbar, m)
+        assert abs(z - fd) <= 1e-9 * fd
+
+    confining = st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0),
+                          st.floats(0.05, 1.0))  # q, q^2 and q^4 coefficients
+    units = st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+
+    @staticmethod
+    def partitions(coeffs, beta, m, hbar):
+        """The spectral reference and both classical bounds."""
+        v = Potential.polynomial((0.0, coeffs[0], coeffs[1], 0.0, coeffs[2]))
+        return np.array([spectral_partition(v, beta, m=m, hbar=hbar),
+                          classical_partition(v, beta, 0.0, m, hbar),
+                          classical_partition(v, beta, beta, m, hbar)])
+
+    @settings(max_examples=25, deadline=None)
+    @given(confining, units, st.floats(0.5, 2.0))
+    def test_depends_on_hbar_and_mass_through_hbar_squared_over_m(self, coeffs,
+                                                                  units, s):
+        beta, hbar, m = units
+        z = self.partitions(coeffs, beta, m, hbar)
+        scaled = self.partitions(coeffs, beta, m * s * s, hbar * s)
+        assert np.max(np.abs(scaled / z - 1)) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(confining, units, st.floats(0.5, 2.0))
+    def test_energy_scale_moves_into_beta_and_mass(self, coeffs, units, c):
+        # Z(beta, m, hbar, v) = Z(beta/c, m/c, hbar, c v)
+        beta, hbar, m = units
+        z = self.partitions(coeffs, beta, m, hbar)
+        scaled = self.partitions(tuple(c * x for x in coeffs), beta / c, m / c, hbar)
+        assert np.max(np.abs(scaled / z - 1)) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(confining, units, st.floats(0.5, 2.0))
+    def test_length_scale_moves_into_mass(self, coeffs, units, s):
+        # Z(beta, m, hbar, v) = Z(beta, m s^2, hbar, v(s .))
+        beta, hbar, m = units
+        z = self.partitions(coeffs, beta, m, hbar)
+        dilated = (coeffs[0] * s, coeffs[1] * s ** 2, coeffs[2] * s ** 4)
+        scaled = self.partitions(dilated, beta, m * s * s, hbar)
+        assert np.max(np.abs(scaled / z - 1)) <= 1e-10
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("beta,m,hbar,name", [
+        (math.nan, 1.0, 1.0, "beta"), (2.0, math.nan, 1.0, "m"),
+        (2.0, 1.0, math.inf, "hbar")])
+    def test_fk_mc_partition(self, beta, m, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            fk_mc_partition(HARMONIC, beta, m, hbar, n_paths=100)
+
+    @pytest.mark.parametrize("beta,m,hbar,name", [
+        (math.nan, 1.0, 1.0, "beta"), (2.0, math.inf, 1.0, "m"),
+        (2.0, 1.0, math.nan, "hbar")])
+    def test_spectral_partition(self, beta, m, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            spectral_partition(HARMONIC, beta, m=m, hbar=hbar)
+
+    @pytest.mark.parametrize("beta,m,hbar,name", [
+        (math.inf, 1.0, 1.0, "beta"), (2.0, math.nan, 1.0, "m"),
+        (2.0, 1.0, math.nan, "hbar")])
+    def test_sample_bridge_ensemble(self, beta, m, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            sample_bridge_ensemble(beta, 16, 10, m, hbar)
+
+    @pytest.mark.parametrize("m,hbar,name", [(math.nan, 1.0, "m"),
+                                             (1.0, math.inf, "hbar")])
+    def test_gauss_transform_potential(self, m, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            gauss_transform_potential(HARMONIC, 1.0, m, hbar)
 
 
 class TestBridges:

@@ -179,9 +179,18 @@ class TestFreeEvolution:
             FreeMoments(var_q=1.0, var_p=1.0, cov_pq=0.0, mass=mass, hbar=hbar)
 
     def test_sign_change_time_rejects_infinite_var_p(self):
-        m0 = FreeMoments(var_q=1.0, var_p=math.inf, cov_pq=-0.3, mass=1.0, hbar=1.0)
+        # the moments themselves refuse it, so no sign change time is asked for
         with pytest.raises(ValueError, match="var_p must be finite and positive"):
-            covariance_sign_change_time(m0)
+            covariance_sign_change_time(FreeMoments(
+                var_q=1.0, var_p=math.inf, cov_pq=-0.3, mass=1.0, hbar=1.0))
+
+    @pytest.mark.parametrize("var_q,var_p,name", [
+        (-1.0, -1.0, "var_q"), (math.nan, math.nan, "var_q"),
+        (1.0, -1.0, "var_p"), (1.0, math.nan, "var_p")])
+    def test_rejects_variances_not_finite_and_positive(self, var_q, var_p, name):
+        # (-1)(-1) >= hbar^2/4 would pass the Kennard test on its own
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            FreeMoments(var_q, var_p, 0.0, 1.0, 1.0)
 
     def test_moment_evolution_closed_form(self):
         m0 = FreeMoments(var_q=0.5, var_p=0.7, cov_pq=-0.2, mass=2.0, hbar=1.0)
