@@ -382,22 +382,20 @@ def _ceil4(n: int) -> int:
     return -(-n // 4) * 4
 
 
-def _path_normals(m_slices: int, seed: int, start: int, raw: np.ndarray) -> np.ndarray:
-    """Standard normals for paths [start, start+len(raw)), computed in place
-    in ``raw`` (a row of ``_ceil4(m_slices - 1)`` uniforms per path; Philox
-    advances in counter blocks of 4 draws, so each path gets a 4-aligned
-    block); returns the view of the m_slices-1 used columns.  Path k is a
-    pure function of (seed, k) via the counter-based stream."""
-    # imported here: scipy.special is slow to import and only the path
-    # sampler needs it
-    from scipy.special import ndtri
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    if start:
-        gen.bit_generator.advance(start * raw.shape[1] // 4)
-    gen.random(out=raw)
-    np.clip(raw, 1e-300, 1 - 1e-16, out=raw)
-    normals = raw[:, :m_slices - 1]
-    return ndtri(normals, out=normals)
+def _path_normals(m_slices: int, seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """The m_slices-1 standard normals of each path in [start,
+    start+len(out)), written into ``out``'s rows.  Path k is row k % 512 of
+    the Gaussian stream of Philox(key=seed, counter=[0, 0, 0, k // 512]),
+    a pure function of (seed, k); a range starting inside a block draws and
+    discards the rows before it."""
+    stop = start + len(out)
+    for block in range(start // _BLOCK_PATHS, -(-stop // _BLOCK_PATHS)):
+        first = block * _BLOCK_PATHS
+        lo, hi = max(start, first), min(stop, first + _BLOCK_PATHS)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
+        gen.standard_normal((lo - first, m_slices - 1))
+        gen.standard_normal(out=out[lo - start:hi - start])
+    return out
 
 
 def _bridge_rows(beta: float, m_slices: int, m: float, hbar: float, seed: int,
@@ -411,8 +409,8 @@ def _bridge_rows(beta: float, m_slices: int, m: float, hbar: float, seed: int,
     if m_slices < 2:
         raise ValueError("m_slices must be at least 2")
     levy = _levy_matrix(beta, m_slices, m, hbar)
-    raw = np.empty((_ceil4(count), _ceil4(m_slices - 1)))
-    return _serial_matmul(_path_normals(m_slices, seed, start, raw), levy.T)[:count]
+    z = np.empty((_ceil4(count), m_slices - 1))
+    return _serial_matmul(_path_normals(m_slices, seed, start, z), levy.T)[:count]
 
 
 def sample_bridge(beta: float, m_slices: int, m: float = 1.0, hbar: float = 1.0,
@@ -483,9 +481,9 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
 
     def arrays(rows: int) -> dict:
         have = getattr(local, "arrays", None)
-        if have is None or len(have["raw"]) < rows:
+        if have is None or len(have["z"]) < rows:
             have = local.arrays = {
-                "raw": np.empty((rows, _ceil4(m_slices - 1))),
+                "z": np.empty((rows, m_slices - 1)),
                 "w": np.empty((rows, m_slices + 1)),
                 "wp": np.empty((rows, m_slices + 1)),
                 "action": np.empty((rows, len(q))),
@@ -496,7 +494,7 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
     def values(start: int, count: int) -> np.ndarray:
         rows = _ceil4(count)
         a = arrays(rows)
-        normals = _path_normals(m_slices, seed, start, a["raw"])
+        normals = _path_normals(m_slices, seed, start, a["z"])
         w = _serial_matmul(normals, levy.T, a["w"])
         action = a["action"]
         if v.is_polynomial:
@@ -547,9 +545,9 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     trapezoid time integral A_k(q) = sum_j' v(q + w_k(tau_j)) dtau; the
     estimate is the path-ensemble mean of Y (pairwise summation, fixed
     path order), the stderr its sample deviation over sqrt(N).  Paths run
-    in blocks of 512, whose arrays stay in cache, on two threads (Philox,
-    ``ndtri`` and numpy release the GIL); each block writes its own slice
-    of the values."""
+    in blocks of 512, whose arrays stay in cache, on two threads (numpy's
+    Gaussian sampler and array operations release the GIL); each block
+    writes its own slice of the values."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")

@@ -275,3 +275,20 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.split("\n")[:2] == ["[False, False]"] * 2
+
+    def test_feynman_kac_leaves_scipy_unloaded(self):
+        # the path sampler draws its normals with numpy alone
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+        probe = ("import contextlib, io, sys, qdesk\n"
+                 "from qdesk import cli\n"
+                 "v = qdesk.Potential.polynomial((0, 0, 0.5))\n"
+                 "qdesk.bound_check(v, 2.0, n_paths=2000)\n"
+                 "qdesk.sample_bridge(2.0, 64, path_index=700)\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = cli.main(['--scenario', 'fk', '--paths', '2000'])\n"
+                 "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 []"

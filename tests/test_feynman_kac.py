@@ -15,7 +15,6 @@ from qdesk.feynman_kac import (
     Potential,
     _bisection_schedule,
     _block_sampler,
-    _ceil4,
     _levy_matrix,
     _path_normals,
     _serial_matmul,
@@ -371,7 +370,7 @@ class TestBridges:
         # reference: the Lévy midpoint construction run column by column on
         # the same normals; the matrix product sums in another order
         beta, m_slices, mass, hbar = 2.0, 64, 0.5, 2.0
-        raw = np.empty((_ceil4(300), _ceil4(m_slices - 1)))
+        raw = np.empty((300, m_slices - 1))
         normals = _path_normals(m_slices, 4, 0, raw)[:300]
         dtau = beta / m_slices
         ref = np.zeros((300, m_slices + 1))
@@ -382,6 +381,18 @@ class TestBridges:
             ref[:, mid] = mean + math.sqrt(var) * normals[:, col]
         ens = sample_bridge_ensemble(beta, m_slices, 300, mass, hbar, seed=4)
         assert np.max(np.abs(ens - ref)) < 1e-12
+
+    @pytest.mark.parametrize("k", [0, 5, 511, 512, 1023, 1500])
+    def test_path_normals_follow_the_philox_block_streams(self, k):
+        # oracle: path k is row k % 512 of the Gaussian stream of Philox
+        # from counter [0, 0, 0, k // 512], over any range that holds it
+        seed, m_slices = 9, 64
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k // 512]))
+        expected = gen.standard_normal((k % 512 + 1, m_slices - 1))[-1]
+        for start, count in [(k, 1), (max(k - 3, 0), 8), (0, k + 1)]:
+            out = np.empty((count, m_slices - 1))
+            normals = _path_normals(m_slices, seed, start, out)
+            assert np.array_equal(normals[k - start], expected)
 
     def test_bridge_rejects_unpinned(self):
         with pytest.raises(ValueError):
