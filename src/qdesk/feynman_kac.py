@@ -37,6 +37,7 @@ __all__ = [
 
 _EXP_FLOOR = 720.0  # beta*v beyond this puts e^{-beta v} under 1e-300
 _BLOCK_PATHS = 512  # Monte Carlo paths per block; a block's arrays stay in L2
+_Q_NODES = 161  # q-nodes of a path's integral over q
 
 
 @dataclass(frozen=True)
@@ -385,9 +386,8 @@ def _ceil4(n: int) -> int:
 def _path_normals(m_slices: int, seed: int, start: int, out: np.ndarray) -> np.ndarray:
     """The m_slices-1 standard normals of each path in [start,
     start+len(out)), written into ``out``'s rows.  Path k is row k % 512 of
-    the Gaussian stream of Philox(key=seed, counter=[0, 0, 0, k // 512]),
-    a pure function of (seed, k); a range starting inside a block draws and
-    discards the rows before it."""
+    the Gaussian stream of Philox(key=seed, counter=[0, 0, 0, k // 512]);
+    a range starting inside a block draws and discards the rows before it."""
     stop = start + len(out)
     for block in range(start // _BLOCK_PATHS, -(-stop // _BLOCK_PATHS)):
         first = block * _BLOCK_PATHS
@@ -400,11 +400,10 @@ def _path_normals(m_slices: int, seed: int, start: int, out: np.ndarray) -> np.n
 
 def _bridge_rows(beta: float, m_slices: int, m: float, hbar: float, seed: int,
                  start: int, count: int) -> np.ndarray:
-    """Bridges w = z Lᵀ of paths [start, start+count) as rows.  The product
-    runs on a multiple of four rows, the row group of OpenBLAS's kernels,
-    the paths after the range filling the last group: a one-row product
-    takes BLAS's dot or matrix-vector kernel, whose rounding differs, and
-    a path's bridge would depend on how many paths share the product."""
+    """Bridges w = z Lᵀ of paths [start, start+count) as rows, the product
+    run on whole row groups (see ``_serial_matmul``), the paths after the
+    range filling the last: a one-row product takes BLAS's dot or
+    matrix-vector kernel, whose rounding differs."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     if m_slices < 2:
         raise ValueError("m_slices must be at least 2")
@@ -431,12 +430,12 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` in row blocks of at most 65536 multiply-adds (8192 cells
     times a vector), into ``out`` if given.  OpenBLAS computes a product
-    that small with its small-matrix kernel on the calling thread.  A
-    larger one goes to its blocked kernel, whose rounding differs, and
-    then to worker threads, which spin for ~0.1 s after every product and
-    take the core that the path sampler's other thread needs.  Blocks are
-    whole multiples of four rows, the row group of OpenBLAS's kernels, so
-    a row's value does not depend on where the blocks fall."""
+    that small on the calling thread with its small-matrix kernel; a larger
+    one goes to its blocked kernel, whose rounding differs, and to worker
+    threads, which spin ~0.1 s after each product on the core that the
+    path sampler's other thread needs.  Blocks are whole multiples of four
+    rows, the row group of OpenBLAS's kernels, so a row's value does not
+    depend on where the blocks fall."""
     per_row = a.shape[1] if b.ndim == 1 else a.shape[1] * b.shape[1]
     budget = 8192 if b.ndim == 1 else 65536
     rows = max(4, budget // max(per_row, 1) // 4 * 4)
@@ -447,36 +446,37 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _q_grid(v: Potential, beta: float, m: float, hbar: float,
-            n_points: int = 161) -> np.ndarray:
-    if v.domain is not None:
-        lo, hi = v.domain
-    else:
-        r = _decay_radius(v, beta, floor=27.7)  # e^{-beta v} < 1e-12
-        pad = 2 * math.sqrt(hbar ** 2 * beta / m)  # room for path excursions
-        lo, hi = -r - pad, r + pad
-    return np.linspace(lo, hi, n_points)
-
-
 def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                    m_slices: int, seed: int) -> Callable[[int, int], np.ndarray]:
     """The per-block function of ``fk_mc_partition``: ``values(start,
     count)`` returns Y_k for paths [start, start+count).  Every step is
     row-wise and runs on whole row groups (see ``_bridge_rows``), so Y_k
     depends only on (seed, k), not on the paths sampled with it."""
-    q = _q_grid(v, beta, m, hbar)
-    scale = (q[1] - q[0]) / _thermal_lambda(beta, m, hbar)
+    lam = _thermal_lambda(beta, m, hbar)
     levy = _levy_matrix(beta, m_slices, m, hbar)
     # trapezoid weights: endpoints (both w=0) carry half weight each
     dtau = beta / m_slices
     tw = np.full(m_slices + 1, dtau)
     tw[0] = tw[-1] = dtau / 2
-    if v.is_polynomial:
-        deg = len(v.coeffs) - 1
-        qpow = np.vander(q, deg + 1, increasing=True).T.copy()  # (deg+1, n_q)
-    # Each thread reuses its arrays block after block.  Arrays freed and
-    # allocated anew are handed back to the OS when glibc trims the
-    # thread's heap, and every page faults back in on the next block.
+    # a polynomial's action is a polynomial in q, unless a domain clips
+    coeffs = v.coeffs if v.domain is None else None
+    if coeffs is not None:
+        deg = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
+        coeffs = coeffs[:deg + 1]
+    gaussian = coeffs is not None and deg == 2 and coeffs[2] > 0
+    if not gaussian:
+        if v.domain is not None:
+            lo, hi = v.domain
+        else:
+            r = _decay_radius(v, beta, floor=27.7)  # e^{-beta v} < 1e-12
+            pad = 2 * math.sqrt(hbar ** 2 * beta / m)  # room for path excursions
+            lo, hi = -r - pad, r + pad
+        q = np.linspace(lo, hi, _Q_NODES)
+        scale = (q[1] - q[0]) / lam
+        if coeffs is not None:
+            qpow = np.vander(q, deg + 1, increasing=True).T.copy()
+    # Each thread reuses its arrays: freed ones go back to the OS when
+    # glibc trims the thread's heap, and fault in anew.
     local = threading.local()
 
     def arrays(rows: int) -> dict:
@@ -486,18 +486,16 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                 "z": np.empty((rows, m_slices - 1)),
                 "w": np.empty((rows, m_slices + 1)),
                 "wp": np.empty((rows, m_slices + 1)),
-                "action": np.empty((rows, len(q))),
-                "weights": np.empty((rows, len(q)), np.float32),
+                "action": np.empty((rows, 0 if gaussian else _Q_NODES)),
             }
         return {name: a[:rows] for name, a in have.items()}
 
     def values(start: int, count: int) -> np.ndarray:
         rows = _ceil4(count)
         a = arrays(rows)
-        normals = _path_normals(m_slices, seed, start, a["z"])
-        w = _serial_matmul(normals, levy.T, a["w"])
-        action = a["action"]
-        if v.is_polynomial:
+        z = _path_normals(m_slices, seed, start, a["z"])
+        w = _serial_matmul(z, levy.T, a["w"])
+        if coeffs is not None:
             # binomial trick: sum_j' v(q+w_j) dtau expands in path moments
             # S_p = sum_j' w_j^p dtau, giving per-path polynomials in q
             s = np.empty((deg + 1, rows))
@@ -507,29 +505,30 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                 _serial_matmul(wp, tw, s[p])
                 wp *= w  # repeated products: float ** is ~100x slower
             qc = np.zeros((rows, deg + 1))  # action coefficients in q
-            for i, ci in enumerate(v.coeffs):
+            for i, ci in enumerate(coeffs):
                 if ci == 0:
                     continue
                 for j in range(i + 1):
                     qc[:, i - j] += ci * math.comb(i, j) * s[j]
-            _serial_matmul(qc, qpow, action)
+            if gaussian:
+                a0, a1, a2 = qc.T
+                y = np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
+                return y[:count]
+            action = _serial_matmul(qc, qpow, a["action"])
         else:
+            action = a["action"]
             action.fill(0.0)
             for j, weight in enumerate(tw):
                 pos = q[None, :] + w[:, [j]]
                 if v.domain is not None:
-                    pos = np.clip(pos, v.domain[0], v.domain[1])
+                    pos = np.clip(pos, lo, hi)
                 action += weight * v(pos)
-        np.clip(action, -_EXP_FLOOR, _EXP_FLOOR, out=action)
-        # a single-precision exp shifted by the path's own minimum is 5-8x
-        # faster than float64, and its ~1e-6 relative error is far below
-        # the statistical error of any feasible path count.  The difference
-        # is taken in float64 and rounded once.
+        # e^{-(A - min A)} in place, floored: exp is 3-4x slower on subnormals
         shift = action.min(axis=1)
-        weights = a["weights"]
-        np.subtract(shift[:, None], action, out=weights, casting="same_kind")
-        np.exp(weights, out=weights)
-        y = weights.sum(axis=1, dtype=np.float64)
+        np.subtract(shift[:, None], action, out=action)
+        np.maximum(action, -700.0, out=action)
+        np.exp(action, out=action)
+        y = action.sum(axis=1)
         y *= np.exp(-shift) * scale
         return y[:count]
 
@@ -544,10 +543,12 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     Each path contributes Y_k = (1/lambda) int dq e^{-A_k(q)} with the
     trapezoid time integral A_k(q) = sum_j' v(q + w_k(tau_j)) dtau; the
     estimate is the path-ensemble mean of Y (pairwise summation, fixed
-    path order), the stderr its sample deviation over sqrt(N).  Paths run
-    in blocks of 512, whose arrays stay in cache, on two threads (numpy's
-    Gaussian sampler and array operations release the GIL); each block
-    writes its own slice of the values."""
+    path order), the stderr its sample deviation over sqrt(N).  On a
+    quadratic well without a domain Y_k is the Gaussian integral in closed
+    form, else a sum of float64 weights e^{-(A_k - min A_k)} on 161 q-nodes.
+    Paths run in blocks of 512, whose arrays stay in cache, on two threads
+    (numpy's Gaussian sampler and array operations release the GIL); each
+    block writes its own slice of the values."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -598,7 +599,6 @@ def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
     if abs(z_target - zb) <= 1e-8 * z_target:
         return beta
     lo, hi = 0.0, beta  # z(lo) > target >= z(hi)
-    mid = beta / 2
     for _ in range(200):
         mid = (lo + hi) / 2
         zm = classical_partition(v, beta, mid, m, hbar)

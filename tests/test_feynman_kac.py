@@ -479,6 +479,81 @@ class TestMonteCarlo:
         assert abs(a[0] - b[0]) < 1e-10
 
 
+def _gaussian_path_values(coeffs, beta, m, hbar, m_slices, n_paths, seed):
+    """Y_k of the quadratic well c0 + c1 q + c2 q^2 from its bridges: the
+    trapezoid moments S_p of w^p give A_k(q) = a0 + a1 q + a2 q^2, and
+    (1/lambda) int dq e^{-A_k} = sqrt(pi/a2) e^{a1^2/4a2 - a0}/lambda."""
+    c0, c1, c2 = coeffs
+    w = sample_bridge_ensemble(beta, m_slices, n_paths, m, hbar, seed)
+    tau = np.linspace(0.0, beta, m_slices + 1)
+    s0, s1, s2 = (np.trapezoid(w ** p, tau, axis=1) for p in range(3))
+    a0 = c0 * s0 + c1 * s1 + c2 * s2
+    a1 = c1 * s0 + 2 * c2 * s1
+    a2 = c2 * s0
+    lam = math.sqrt(2 * math.pi * beta * hbar ** 2 / m)
+    return np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
+
+
+class TestQuadraticClosedForm:
+    @pytest.mark.parametrize("beta, hbar, m", [
+        (2.0, 1.0, 1.0), (2.0, 0.5, 1.0), (2.0, 2.0, 1.0), (2.0, 1.0, 2.0),
+        (20.0, 1.0, 1.0)])
+    def test_harmonic_matches_callable_grid(self, beta, hbar, m):
+        # the closed form and the float64 grid sum agree path by path
+        twin = Potential.from_callable(lambda q: 0.5 * q ** 2)
+        y = _block_sampler(HARMONIC, beta, m, hbar, 64, seed=3)(0, 1_000)
+        grid = _block_sampler(twin, beta, m, hbar, 64, seed=3)(0, 1_000)
+        np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
+
+    def test_shifted_well_matches_callable_grid(self):
+        v = Potential.polynomial((0.3, -0.4, 0.7))
+        twin = Potential.from_callable(lambda q: 0.3 - 0.4 * q + 0.7 * q ** 2)
+        y = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        grid = _block_sampler(twin, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
+
+    def test_quartic_matches_callable_grid(self):
+        twin = Potential.from_callable(lambda q: 0.25 * q ** 4)
+        y = _block_sampler(QUARTIC, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        grid = _block_sampler(twin, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
+
+    def test_domain_keeps_the_grid(self):
+        # paths are clipped to the domain as for a callable, and the sum
+        # stops at its ends, so the whole-line closed form does not apply
+        v = Potential(coeffs=(0.0, 0.0, 0.5), domain=(-3.0, 3.0))
+        twin = Potential.from_callable(lambda q: 0.5 * q ** 2, domain=(-3.0, 3.0))
+        y = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        grid = _block_sampler(twin, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
+        whole_line = _gaussian_path_values((0.0, 0.0, 0.5), 2.0, 1.0, 1.0, 64,
+                                           1_000, 3)
+        assert np.max(np.abs(y / whole_line - 1)) > 1e-3
+
+    def test_trailing_zero_coefficients_take_the_closed_form(self):
+        padded = Potential.polynomial((0.0, 0.0, 0.5, 0.0, 0.0))
+        y = _block_sampler(padded, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        assert np.array_equal(y, _block_sampler(HARMONIC, 2.0, 1.0, 1.0, 64,
+                                                seed=3)(0, 1_000))
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 0.0, 0.5), (0.0, 0.0, 0.5, 0.0, 0.0), (0.3, -0.4, 0.7)])
+    @pytest.mark.parametrize("beta, m_slices", [(2.0, 64), (200.0, 256)])
+    def test_matches_gaussian_integral_of_the_bridges(self, coeffs, beta,
+                                                      m_slices):
+        # at beta = 200 most values underflow to 0 and the rest reach
+        # e^{-700}: compare where each is zero, then the exponents
+        v = Potential.polynomial(coeffs)
+        y = _block_sampler(v, beta, 1.0, 1.0, m_slices, seed=7)(0, 2_000)
+        want = _gaussian_path_values(coeffs[:3], beta, 1.0, 1.0, m_slices,
+                                     2_000, 7)
+        assert np.array_equal(y == 0, want == 0)
+        normal = want > np.finfo(float).tiny
+        assert normal.sum() >= 40
+        np.testing.assert_allclose(np.log(y[normal]), np.log(want[normal]),
+                                   rtol=1e-13, atol=0)
+
+
 class TestBoundsAndTauStar:
     def test_monotonicity_harmonic(self):
         res = monotonicity_check(HARMONIC, 2.0)
