@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .operators import _require_positive
+from .operators import _one_blas_thread, _require_positive
 from .phasespace import GridSpec, grid_hamiltonian
 
 __all__ = [
@@ -258,16 +258,15 @@ def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
     its peak (0 without; only then are eigenvectors computed)."""
     h = grid_hamiltonian(spec, m, lambda x: float(v(x)))
     q_edge = p_edge = 0.0
+    with _one_blas_thread():
+        vals, vecs = np.linalg.eigh(h) if edges else (np.linalg.eigvalsh(h), None)
     if edges:
-        vals, vecs = np.linalg.eigh(h)
         low = np.abs(vecs[:, :3])
         low_hat = np.abs(np.fft.fft(vecs[:, :3], axis=0))
         n = spec.n
         q_edge = float((low[[0, -1]].max(axis=0) / low.max(axis=0)).max())
         p_edge = float((low_hat[[n // 2 - 1, n // 2]].max(axis=0)
                         / low_hat.max(axis=0)).max())
-    else:
-        vals = np.linalg.eigvalsh(h)
     if abs(beta * vals[0]) > _EXP_FLOOR:
         raise ValueError(f"tr e^{{-beta H}} is outside the float range: "
                          f"beta E_0 = {beta * vals[0]:.4g}")
@@ -432,10 +431,10 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray,
     times a vector), into ``out`` if given.  OpenBLAS computes a product
     that small on the calling thread with its small-matrix kernel; a larger
     one goes to its blocked kernel, whose rounding differs, and to worker
-    threads, which spin ~0.1 s after each product on the core that the
-    path sampler's other thread needs.  Blocks are whole multiples of four
-    rows, the row group of OpenBLAS's kernels, so a row's value does not
-    depend on where the blocks fall."""
+    threads, which then spin (see ``operators._one_blas_thread``) on the
+    core that the path sampler's other thread needs.  Blocks are whole
+    multiples of four rows, the row group of OpenBLAS's kernels, so a row's
+    value does not depend on where the blocks fall."""
     per_row = a.shape[1] if b.ndim == 1 else a.shape[1] * b.shape[1]
     budget = 8192 if b.ndim == 1 else 65536
     rows = max(4, budget // max(per_row, 1) // 4 * 4)

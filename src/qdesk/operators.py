@@ -7,8 +7,13 @@ construction, so instances can be shared freely between workers.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +57,50 @@ def _require_positive(**values) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles and has loaded, or None where there is none."""
+    import glob  # here: only the first eigensolve needs it
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its
+    thread count.  A threaded OpenBLAS call leaves its worker busy-waiting
+    ~0.13 s of CPU before it sleeps, on a core the next computation needs
+    (``feynman_kac._serial_matmul`` keeps the Monte Carlo's own products off
+    the workers for the same reason), and its rounding depends on the
+    thread count.  Does nothing where the library is not found."""
+    with _BLAS_LOCK:
+        threads = _openblas_threads()
+        if threads is None:
+            yield
+            return
+        get, put = threads
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
 
 
 def _asymmetry(m: np.ndarray) -> float:

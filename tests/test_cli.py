@@ -19,6 +19,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def run_python(probe: str, **env) -> str:
+    """stdout of ``python -c probe`` in a fresh process that imports qdesk
+    from this tree, with ``env`` added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def strip_time(payload: dict) -> dict:
     d = dict(payload)
     d.pop("wall_time_ms")
@@ -99,6 +109,22 @@ class TestDeterminism:
         _, out_a = run_cli(capsys, "--scenario", "inin", "--seed", "1")
         _, out_b = run_cli(capsys, "--scenario", "inin", "--seed", "2")
         assert json.loads(out_a)["results"] != json.loads(out_b)["results"]
+
+    def test_fk_does_not_depend_on_blas_threads(self):
+        # the spectral reference's eigensolves run on one OpenBLAS thread
+        probe = ("import contextlib, io, qdesk\n"
+                 "from qdesk import cli\n"
+                 "z = [qdesk.spectral_partition(qdesk.Potential.polynomial(c), 2.0, hbar=h)\n"
+                 "     for c, h in [((0, 0, 0.5), 0.5), ((0, 0, 0, 0, 0.25), 2.0)]]\n"
+                 "out = io.StringIO()\n"
+                 "with contextlib.redirect_stdout(out):\n"
+                 "    cli.main(['--scenario', 'fk', '--paths', '2000', '--hbar', '0.5'])\n"
+                 "print(repr(z))\n"
+                 "print(out.getvalue())")
+        runs = [run_python(probe, OPENBLAS_NUM_THREADS=t).split("\n", 1)
+                for t in ("1", "2")]
+        assert runs[0][0] == runs[1][0]
+        assert strip_time(json.loads(runs[0][1])) == strip_time(json.loads(runs[1][1]))
 
 
 class TestConfigEcho:
@@ -264,23 +290,15 @@ class TestExitCodes:
 class TestStartup:
     def test_import_leaves_scipy_special_unloaded(self):
         # nor does the spectral reference load scipy.linalg
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
         probe = ("import sys, qdesk\n"
                  "loaded = lambda: [m in sys.modules for m in ('scipy.special', 'scipy.linalg')]\n"
                  "print(loaded())\n"
                  "qdesk.spectral_partition(qdesk.Potential.polynomial((0, 0, 0.5)), 2.0)\n"
                  "print(loaded())")
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.split("\n")[:2] == ["[False, False]"] * 2
+        assert run_python(probe).split("\n")[:2] == ["[False, False]"] * 2
 
     def test_feynman_kac_leaves_scipy_unloaded(self):
         # the path sampler draws its normals with numpy alone
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
         probe = ("import contextlib, io, sys, qdesk\n"
                  "from qdesk import cli\n"
                  "v = qdesk.Potential.polynomial((0, 0, 0.5))\n"
@@ -289,6 +307,14 @@ class TestStartup:
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  "    code = cli.main(['--scenario', 'fk', '--paths', '2000'])\n"
                  "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "0 []"
+        assert run_python(probe).strip() == "0 []"
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_spectral_reference_leaves_no_blas_worker_spinning(self):
+        # a threaded OpenBLAS call leaves its worker busy-waiting ~0.13 s
+        probe = ("import time, qdesk\n"
+                 "qdesk.spectral_partition(qdesk.Potential.polynomial((0, 0, 0.5)), 2.0)\n"
+                 "start = time.process_time()\n"
+                 "time.sleep(0.3)\n"
+                 "print(time.process_time() - start)")
+        assert float(run_python(probe)) < 0.05

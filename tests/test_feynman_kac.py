@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdesk.feynman_kac as fk
+import qdesk.operators as ops
 from qdesk.feynman_kac import (
     BridgePath,
     Potential,
@@ -177,6 +178,42 @@ class TestSpectralReference:
         rep = bound_check(HARMONIC, 2.0, n_paths=2_000)
         assert rep.spectral_reference > rep.z_upper + 1e-8
         assert rep.tau_star is None
+
+
+class TestOneBlasThread:
+    """The spectral reference's eigensolves run on one OpenBLAS thread and
+    leave the thread count as they found it."""
+
+    @pytest.fixture
+    def blas(self):
+        threads = ops._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, put = threads
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_count_restored(self, blas):
+        spectral_partition(HARMONIC, 2.0)
+        assert blas() == 2
+
+    def test_count_restored_when_the_eigensolve_raises(self, blas, monkeypatch):
+        seen = []
+
+        def failing_eigh(h):
+            seen.append(blas())
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral_partition(HARMONIC, 2.0)
+        assert seen == [1] and blas() == 2
+
+    def test_reference_without_the_library(self, monkeypatch):
+        monkeypatch.setattr(ops, "_openblas_threads", lambda: None)
+        assert abs(spectral_partition(HARMONIC, 2.0) - SPECTRAL_HARMONIC) < 1e-10
 
 
 def harmonic_closed_form(beta, hbar, m):
