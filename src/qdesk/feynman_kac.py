@@ -256,7 +256,7 @@ def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
     with ``edges``, the largest amplitude of the three lowest eigenstates at
     the position edges and at the momentum edges |p| = pi hbar/dq, each over
     its peak (0 without; only then are eigenvectors computed)."""
-    h = grid_hamiltonian(spec, m, lambda x: float(v(x)))
+    h = grid_hamiltonian(spec, m, v)
     q_edge = p_edge = 0.0
     with _one_blas_thread():
         vals, vecs = np.linalg.eigh(h) if edges else (np.linalg.eigvalsh(h), None)
@@ -399,16 +399,17 @@ def _path_normals(m_slices: int, seed: int, start: int, out: np.ndarray) -> np.n
 
 def _bridge_rows(beta: float, m_slices: int, m: float, hbar: float, seed: int,
                  start: int, count: int) -> np.ndarray:
-    """Bridges w = z Lᵀ of paths [start, start+count) as rows, the product
-    run on whole row groups (see ``_serial_matmul``), the paths after the
-    range filling the last: a one-row product takes BLAS's dot or
-    matrix-vector kernel, whose rounding differs."""
+    """Bridges w = z Lᵀ of paths [start, start+count) as rows, by
+    ``_serial_matmul`` on whole row groups, the paths after the range
+    filling the last: a one-row product takes BLAS's dot or matrix-vector
+    kernel, whose rounding differs."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     if m_slices < 2:
         raise ValueError("m_slices must be at least 2")
-    levy = _levy_matrix(beta, m_slices, m, hbar)
+    levy_t = np.ascontiguousarray(_levy_matrix(beta, m_slices, m, hbar).T)
     z = np.empty((_ceil4(count), m_slices - 1))
-    return _serial_matmul(_path_normals(m_slices, seed, start, z), levy.T)[:count]
+    with _one_blas_thread():
+        return _serial_matmul(_path_normals(m_slices, seed, start, z), levy_t)[:count]
 
 
 def sample_bridge(beta: float, m_slices: int, m: float = 1.0, hbar: float = 1.0,
@@ -427,17 +428,16 @@ def sample_bridge_ensemble(beta: float, m_slices: int, n_paths: int,
 
 def _serial_matmul(a: np.ndarray, b: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` in row blocks of at most 65536 multiply-adds (8192 cells
-    times a vector), into ``out`` if given.  OpenBLAS computes a product
-    that small on the calling thread with its small-matrix kernel; a larger
-    one goes to its blocked kernel, whose rounding differs, and to worker
-    threads, which then spin (see ``operators._one_blas_thread``) on the
-    core that the path sampler's other thread needs.  Blocks are whole
-    multiples of four rows, the row group of OpenBLAS's kernels, so a row's
-    value does not depend on where the blocks fall."""
-    per_row = a.shape[1] if b.ndim == 1 else a.shape[1] * b.shape[1]
-    budget = 8192 if b.ndim == 1 else 65536
-    rows = max(4, budget // max(per_row, 1) // 4 * 4)
+    """``a @ b`` in row pieces of at most 10**6 multiply-adds, into ``out``
+    if given, for a C-contiguous ``b`` and a caller on one BLAS thread
+    (``operators._one_blas_thread``).  OpenBLAS then computes each piece on
+    the calling thread, four rows at a time.  A larger product goes to its
+    blocked kernel, whose rounding differs, and so does one with a
+    transposed ``b`` from 65536 multiply-adds on.  Pieces are whole
+    multiples of four rows, so a row's value does not depend on where they
+    fall."""
+    per_row = a.shape[1] * (b.shape[1] if b.ndim == 2 else 1)
+    rows = max(4, 10 ** 6 // max(per_row, 1) // 4 * 4)
     if out is None:
         out = np.empty(a.shape[:1] + b.shape[1:])
     for lo in range(0, len(a), rows):
@@ -452,7 +452,7 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
     row-wise and runs on whole row groups (see ``_bridge_rows``), so Y_k
     depends only on (seed, k), not on the paths sampled with it."""
     lam = _thermal_lambda(beta, m, hbar)
-    levy = _levy_matrix(beta, m_slices, m, hbar)
+    levy_t = np.ascontiguousarray(_levy_matrix(beta, m_slices, m, hbar).T)
     # trapezoid weights: endpoints (both w=0) carry half weight each
     dtau = beta / m_slices
     tw = np.full(m_slices + 1, dtau)
@@ -493,7 +493,7 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
         rows = _ceil4(count)
         a = arrays(rows)
         z = _path_normals(m_slices, seed, start, a["z"])
-        w = _serial_matmul(z, levy.T, a["w"])
+        w = _serial_matmul(z, levy_t, a["w"])
         if coeffs is not None:
             # binomial trick: sum_j' v(q+w_j) dtau expands in path moments
             # S_p = sum_j' w_j^p dtau, giving per-path polynomials in q
@@ -546,8 +546,8 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     quadratic well without a domain Y_k is the Gaussian integral in closed
     form, else a sum of float64 weights e^{-(A_k - min A_k)} on 161 q-nodes.
     Paths run in blocks of 512, whose arrays stay in cache, on two threads
-    (numpy's Gaussian sampler and array operations release the GIL); each
-    block writes its own slice of the values."""
+    (numpy's Gaussian sampler and array operations release the GIL) and one
+    BLAS thread; each block writes its own slice of the values."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -560,7 +560,7 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
 
     # imported here: only the path sampler needs it
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(2) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(2) as pool:
         list(pool.map(run, range(0, n_paths, _BLOCK_PATHS)))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_paths))

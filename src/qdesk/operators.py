@@ -85,10 +85,10 @@ _BLAS_LOCK = threading.Lock()
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore its
     thread count.  A threaded OpenBLAS call leaves its worker busy-waiting
-    ~0.13 s of CPU before it sleeps, on a core the next computation needs
-    (``feynman_kac._serial_matmul`` keeps the Monte Carlo's own products off
-    the workers for the same reason), and its rounding depends on the
-    thread count.  Does nothing where the library is not found."""
+    ~0.13 s of CPU before it sleeps, on a core the next computation needs,
+    and its rounding depends on the thread count.  The spectral reference's
+    eigensolves and the path sampler's products run in it.  Does nothing
+    where the library is not found."""
     with _BLAS_LOCK:
         threads = _openblas_threads()
         if threads is None:

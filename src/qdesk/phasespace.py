@@ -646,10 +646,11 @@ def momentum_kernel(spec: GridSpec, power: int = 1) -> np.ndarray:
 
 def grid_hamiltonian(spec: GridSpec, mass: float, potential) -> np.ndarray:
     """Sample-action matrix of P^2/(2m) + v(Q); real symmetric float64,
-    eigensolve-ready.  p^2 is even on the grid, so its transform is real up
+    eigensolve-ready.  ``potential`` takes the array of grid positions and
+    returns v at each.  p^2 is even on the grid, so its transform is real up
     to rounding, which ``.real`` and the symmetrization drop."""
     p2 = spec.momentum_grid() ** 2 / (2 * mass)
     h = _circulant(np.fft.ifft(np.fft.ifftshift(p2)).real)
     q = spec.position_grid()
-    h[np.diag_indices(spec.n)] += np.asarray([potential(x) for x in q], dtype=float)
+    h[np.diag_indices(spec.n)] += np.asarray(potential(q), dtype=float)
     return 0.5 * (h + h.T)

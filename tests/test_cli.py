@@ -318,3 +318,13 @@ class TestStartup:
                  "time.sleep(0.3)\n"
                  "print(time.process_time() - start)")
         assert float(run_python(probe)) < 0.05
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_monte_carlo_leaves_no_blas_worker_spinning(self):
+        probe = ("import time, qdesk\n"
+                 "v = qdesk.Potential.polynomial((0, 0, 0, 0, 0.25))\n"
+                 "qdesk.fk_mc_partition(v, 2.0)\n"
+                 "start = time.process_time()\n"
+                 "time.sleep(0.3)\n"
+                 "print(time.process_time() - start)")
+        assert float(run_python(probe)) < 0.05

@@ -181,8 +181,8 @@ class TestSpectralReference:
 
 
 class TestOneBlasThread:
-    """The spectral reference's eigensolves run on one OpenBLAS thread and
-    leave the thread count as they found it."""
+    """The spectral reference's eigensolves and the path sampler's products
+    run on one OpenBLAS thread and leave the thread count as they found it."""
 
     @pytest.fixture
     def blas(self):
@@ -198,6 +198,22 @@ class TestOneBlasThread:
     def test_count_restored(self, blas):
         spectral_partition(HARMONIC, 2.0)
         assert blas() == 2
+
+    def test_count_restored_after_the_monte_carlo(self, blas, monkeypatch):
+        seen = []
+
+        def spying_sampler(*args):
+            values = _block_sampler(*args)
+
+            def spied(start, count):
+                seen.append(blas())
+                return values(start, count)
+
+            return spied
+
+        monkeypatch.setattr(fk, "_block_sampler", spying_sampler)
+        fk_mc_partition(HARMONIC, 2.0, n_paths=2_000)
+        assert seen == [1] * 4 and blas() == 2
 
     def test_count_restored_when_the_eigensolve_raises(self, blas, monkeypatch):
         seen = []
@@ -459,17 +475,22 @@ class TestMonteCarlo:
         assert full == again
 
     @pytest.mark.parametrize("n_rows", [5_003, 20_000])
-    def test_blocked_products_match_four_row_products(self, n_rows):
-        # a row's value must not depend on where the row blocks fall
+    @pytest.mark.parametrize("m_slices", [64, 128, 256])
+    def test_blocked_products_match_four_row_products(self, n_rows, m_slices):
+        # a row's value must not depend on where the row pieces fall, for
+        # dense operands of the sampler's shapes and layouts: the bridge's
+        # contiguous Lᵀ, the trapezoid weights and the action's q-powers
         rng = np.random.default_rng(0)
-        w = rng.standard_normal((n_rows, 65))
-        tw = rng.standard_normal(65)
-        groups = [w[i:i + 4] @ tw for i in range(0, n_rows, 4)]
-        assert np.array_equal(_serial_matmul(w, tw), np.concatenate(groups))
+        z = rng.standard_normal((n_rows, m_slices - 1))
+        levy_t = rng.standard_normal((m_slices - 1, m_slices + 1))
+        w = rng.standard_normal((n_rows, m_slices + 1))
+        tw = rng.standard_normal(m_slices + 1)
         qc = rng.standard_normal((n_rows, 5))
-        qpow = rng.standard_normal((161, 5))
-        groups = [qc[i:i + 4] @ qpow.T for i in range(0, n_rows, 4)]
-        assert np.array_equal(_serial_matmul(qc, qpow.T), np.concatenate(groups))
+        qpow = rng.standard_normal((5, 161))
+        with ops._one_blas_thread():
+            for a, b in [(z, levy_t), (w, tw), (qc, qpow)]:
+                groups = [a[i:i + 4] @ b for i in range(0, n_rows, 4)]
+                assert np.array_equal(_serial_matmul(a, b), np.concatenate(groups))
 
     @pytest.mark.parametrize("v", [
         HARMONIC, QUARTIC,
