@@ -20,7 +20,7 @@ from .spin import PAULI, SX, SY, SZ, _ID2, _pauli_sum, _unit
 __all__ = [
     "CHSHConfig", "EntropyTriangleReport", "MagicSquare",
     "singlet", "bell_states", "entropy_triangle",
-    "chsh_operator", "chsh_value", "singlet_chsh_closed_form", "werner_state",
+    "chsh_operator", "chsh_value", "werner_state",
     "classical_chsh_enumeration", "mermin_square", "mermin_assignment_search",
     "fig1_config", "random_density", "random_separable",
 ]
@@ -110,12 +110,6 @@ def chsh_value(w: DensityOperator, cfg: CHSHConfig) -> float:
     """<K> = tr(WK); bounded by 2*sqrt(2) for any state (Tsirelson)."""
     k, _ = chsh_operator(cfg)
     return float(np.trace(w.matrix @ k.matrix).real)
-
-
-def singlet_chsh_closed_form(cfg: CHSHConfig) -> float:
-    """-a.c - a.d - b.c + b.d, the singlet expectation of K."""
-    a, b, c, d = (np.asarray(v) for v in (cfg.a, cfg.b, cfg.c, cfg.d))
-    return float(-a @ c - a @ d - b @ c + b @ d)
 
 
 def werner_state(x: float) -> DensityOperator:

@@ -108,7 +108,7 @@ def _run_fk(cfg: RunConfig):
     report = fk.bound_check(v, cfg.beta, cfg.mass, cfg.hbar,
                             m_slices=cfg.slices, n_paths=cfg.paths,
                             seed=cfg.seed)
-    results = report.to_json()
+    results = dataclasses.asdict(report)
     sref = report.spectral_reference
     checks = {
         "sandwich_holds": report.z_lower - 1e-8 <= sref <= report.z_upper + 1e-8,
@@ -251,9 +251,6 @@ class ReportRecord:
     checks: dict
     wall_time_ms: float
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def run(cfg: RunConfig) -> tuple[ReportRecord, ps.PhaseSpaceField | None]:
     start = time.perf_counter()
@@ -285,10 +282,10 @@ def emit(record: ReportRecord, fmt: str, path: str | None, force: bool,
         field.to_csv(path)
         return f"wrote phase-space field to {path}"
     if fmt == "json":
-        text = json.dumps(record.to_json(), indent=2, default=float)
+        text = json.dumps(dataclasses.asdict(record), indent=2, default=float)
     else:
         flat: dict = {}
-        _flatten("", record.to_json(), flat)
+        _flatten("", dataclasses.asdict(record), flat)
         keys = list(flat)
         text = (",".join(keys) + "\n"
                 + ",".join("" if flat[k] is None else repr(flat[k])

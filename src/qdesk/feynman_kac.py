@@ -549,6 +549,8 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     (numpy's Gaussian sampler and array operations release the GIL) and one
     BLAS thread; each block writes its own slice of the values."""
     _require_positive(beta=beta, m=m, hbar=hbar)
+    if m_slices < 1:
+        raise ValueError("m_slices must be at least 1")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
@@ -584,6 +586,7 @@ class PartitionReport:
             raise ValueError("lower bound exceeds upper bound")
 
     def to_json(self) -> dict:
+        # perfbench digests fk reports through it
         return asdict(self)
 
 
@@ -611,17 +614,15 @@ def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
 
 
 def bound_check(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
-                m_slices: int = 64, n_paths: int = 100_000, seed: int = 0,
-                spec: GridSpec | None = None) -> PartitionReport:
+                m_slices: int = 64, n_paths: int = 100_000,
+                seed: int = 0) -> PartitionReport:
     """Assemble the sandwich z(beta,beta) <= tr e^{-beta H} <= z(beta,0)
     with the MC estimate, the spectral reference and, for a non-constant
     potential whose reference lies inside the sandwich, the matching tau*."""
-    if spec is not None and spec.hbar != hbar:
-        raise ValueError("spec.hbar must equal hbar")
     z_upper = classical_partition(v, beta, 0.0, m, hbar)
     z_lower = classical_partition(v, beta, beta, m, hbar)
     estimate, stderr = fk_mc_partition(v, beta, m, hbar, m_slices, n_paths, seed)
-    spectral = spectral_partition(v, beta, spec, m, hbar)
+    spectral = spectral_partition(v, beta, m=m, hbar=hbar)
     ts = None
     if not v.is_constant and z_lower <= spectral < z_upper:
         ts = tau_star(v, beta, m, hbar, z_target=spectral)

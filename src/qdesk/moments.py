@@ -1,13 +1,12 @@
 """Statistical layer: expectations, variances, covariances, the
-Robertson-Schroedinger inequality, entropies, Gibbs states, collapse,
-purification, and free-particle moment evolution.
+Robertson-Schroedinger inequality, entropies, Gibbs states, collapse and
+purification.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,22 +16,17 @@ from .operators import (
     _as_matrix,
     _require_positive,
     eigh,
-    partial_trace,
     standardized_commutator,
 )
 
 __all__ = [
     "MomentReport",
-    "FreeMoments",
     "expectation",
     "moments",
     "entropy",
     "gibbs_state",
     "luders_collapse",
     "purify",
-    "purification_roundtrip",
-    "free_moment_evolution",
-    "covariance_sign_change_time",
 ]
 
 _COLLAPSE_TOL = 1e-12  # tr(WE) at or below it is an impossible outcome
@@ -53,26 +47,6 @@ class MomentReport:
     def __post_init__(self):
         if self.var_a < -1e-12 or self.var_b < -1e-12:
             raise ValueError("negative variance beyond numerical floor")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-
-@dataclass(frozen=True)
-class FreeMoments:
-    """Second moments (and units) of a free particle state."""
-
-    var_q: float
-    var_p: float
-    cov_pq: float
-    mass: float
-    hbar: float
-
-    def __post_init__(self):
-        _require_positive(var_q=self.var_q, var_p=self.var_p, mass=self.mass,
-                          hbar=self.hbar)
-        if self.var_q * self.var_p < self.cov_pq ** 2 + self.hbar ** 2 / 4 - 1e-9:
-            raise ValueError("moment triple violates the Kennard-Schroedinger bound")
 
 
 def expectation(w: DensityOperator, a) -> float:
@@ -155,32 +129,3 @@ def purify(w: DensityOperator) -> np.ndarray:
             phi += math.sqrt(lam) * np.kron(vec, vec)
     phi /= np.linalg.norm(phi)
     return phi
-
-
-def purification_roundtrip(w: DensityOperator) -> float:
-    """Max-entry error of tr_2 |Phi><Phi| against W (test oracle helper)."""
-    phi = purify(w)
-    proj = np.outer(phi, phi.conj())
-    red = partial_trace(proj, (w.dim, w.dim), keep=1)
-    return float(np.max(np.abs(red - w.matrix)))
-
-
-def free_moment_evolution(m0: FreeMoments, t: float) -> FreeMoments:
-    """Heisenberg-picture second moments of a free particle at time t.
-
-    var_q(t) = var_q + (2t/m) cov + (t/m)^2 var_p; cov(t) = cov + (t/m) var_p;
-    var_p is conserved.
-    """
-    s = t / m0.mass
-    return FreeMoments(
-        var_q=m0.var_q + 2 * s * m0.cov_pq + s ** 2 * m0.var_p,
-        var_p=m0.var_p,
-        cov_pq=m0.cov_pq + s * m0.var_p,
-        mass=m0.mass,
-        hbar=m0.hbar,
-    )
-
-
-def covariance_sign_change_time(m0: FreeMoments) -> float:
-    """Time m|c|/var_p at which a negative covariance crosses zero."""
-    return m0.mass * abs(m0.cov_pq) / m0.var_p

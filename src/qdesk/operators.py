@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
 import math
 import os
 import threading
@@ -31,8 +30,6 @@ __all__ = [
     "standardized_commutator",
     "lattice_meet",
     "gleason_additivity_check",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -306,20 +303,3 @@ def gleason_additivity_check(w: DensityOperator, projections) -> dict:
         "residual": abs(mu_sum_op - sum(mus)),
         "mu_values": mus,
     }
-
-
-def matrix_to_json(m) -> str:
-    a = _as_matrix(m)
-    return json.dumps({
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "re": a.real.ravel().tolist(),
-        "im": a.imag.ravel().tolist(),
-    })
-
-
-def matrix_from_json(s: str) -> np.ndarray:
-    d = json.loads(s)
-    re = np.asarray(d["re"], dtype=float).reshape(d["rows"], d["cols"])
-    im = np.asarray(d["im"], dtype=float).reshape(d["rows"], d["cols"])
-    return re + 1j * im

@@ -1,7 +1,8 @@
 """Discretized L^2(R) engine: grid wavefunctions, momentum representation,
-pseudo-classical states, the entropic indeterminacy inequality, Wigner
-transforms, Weyl quantization, smoothing, and the quadratic-symbol
-Moyal-vs-Poisson consistency check.
+grid moments, pseudo-classical states, the entropic indeterminacy
+inequality with the variance bound it implies, Wigner transforms, Weyl
+quantization, smoothing, the quadratic-symbol Moyal-vs-Poisson consistency
+check, and the grid Hamiltonian of the spectral reference.
 
 Grid conventions: n position samples q_k = -length/2 + k*dq centered at 0;
 momentum grid p_m = (m - n/2)*dp with dp = 2*pi*hbar/length, so that
@@ -19,8 +20,9 @@ O(n^2 log n) time and O(n^2) memory.
   and the factor (-1)^k shifts the spectrum by n/2, so
   psi_hat = dq/sqrt(2 pi hbar) * (-1)^(m - n/2) * fftshift(fft(psi));
   from_momentum inverts it with ifftshift and ifft.
-- Functions of P are circulant kernels c[(k - k') mod n] with
-  c = ifft(ifftshift(p^power)) / dq.
+- The kinetic term of grid_hamiltonian is the circulant sample-action
+  matrix c[(k - k') mod n] with c = ifft(ifftshift(p^2/(2m))); as a
+  position kernel it would carry a further 1/dq.
 - The Wigner sum over half-step lags l in (-n, n) carries the phase
   exp(2 pi i (m - n/2) l/n), which has period n in l, so lag l - n folds
   onto l.  A Hermitian kernel has c(-l) = conj(c(l)), so only lags 0..n-1
@@ -60,11 +62,10 @@ from .operators import _require_positive
 __all__ = [
     "GridSpec", "GridWavefunction", "PhaseSpaceField",
     "gaussian_packet", "to_momentum", "from_momentum", "evolve_free",
-    "position_moments", "momentum_moments", "pq_covariance", "grid_moments",
-    "pseudo_classical_state", "entropic_inin", "variance_from_entropic",
+    "position_moments", "momentum_moments", "pq_covariance",
+    "pseudo_classical_state", "variance_from_entropic",
     "wigner_transform", "weyl_quantize", "isometry_check", "gauss_smooth",
-    "moyal_poisson_check", "QuadraticSymbol",
-    "position_kernel", "momentum_kernel", "grid_hamiltonian",
+    "moyal_poisson_check", "QuadraticSymbol", "grid_hamiltonian",
 ]
 
 _NORM_TOL = 1e-8  # |norm - 1| a GridWavefunction may have
@@ -240,16 +241,6 @@ def pq_covariance(psi: GridWavefunction) -> float:
     return sym - mean_p * mean_q
 
 
-def grid_moments(psi: GridWavefunction) -> dict:
-    mean_q, var_q = position_moments(psi)
-    mean_p, var_p = momentum_moments(psi)
-    return {
-        "mean_q": mean_q, "var_q": var_q,
-        "mean_p": mean_p, "var_p": var_p,
-        "cov_pq": pq_covariance(psi),
-    }
-
-
 def pseudo_classical_state(psi: GridWavefunction) -> PhaseSpaceField:
     """w(p,q) = 2 pi hbar |psi_hat(p)|^2 |psi(q)|^2, the nonnegative
     product density assigned to the state."""
@@ -269,16 +260,10 @@ def _phase_space_entropy(field: PhaseSpaceField, reference: np.ndarray | None = 
     return float(-np.sum(w[mask] * np.log(v[mask])) * cell)
 
 
-def entropic_inin(psi: GridWavefunction) -> dict:
-    """Entropy of the pseudo-classical state against the ln(e/2) bound."""
-    ent = _phase_space_entropy(pseudo_classical_state(psi))
-    bound = 1 - math.log(2)
-    return {"entropy": ent, "bound": bound, "margin": ent - bound}
-
-
 def variance_from_entropic(psi: GridWavefunction) -> dict:
     """Inequality chain ln(e/2) <= -<w,ln w> <= -<w,ln wt> = ln(e sP sQ/hbar)
-    for the moment-matched Gaussian comparison density wt."""
+    for the pseudo-classical state w and the moment-matched Gaussian
+    comparison density wt; entropy - bound is the entropic margin."""
     spec = psi.spec
     field = pseudo_classical_state(psi)
     mean_q, var_q = position_moments(psi)
@@ -624,24 +609,11 @@ def moyal_poisson_check(a: "QuadraticSymbol", b: "QuadraticSymbol",
     return {"max_abs_error": worst, "relative_error": worst / scale}
 
 
-def position_kernel(spec: GridSpec, f=None) -> np.ndarray:
-    """Kernel of f(Q) (diagonal); f defaults to the identity map."""
-    q = spec.position_grid()
-    vals = q if f is None else np.asarray([f(x) for x in q], dtype=complex)
-    return np.diag(vals / spec.dq).astype(complex)
-
-
 def _circulant(c: np.ndarray) -> np.ndarray:
     """Matrix C[k, k'] = c[(k - k') mod n]."""
     n = len(c)
     rev = c[::-1]
     return sliding_window_view(np.concatenate([rev, rev]), n)[n - 1::-1].copy()
-
-
-def momentum_kernel(spec: GridSpec, power: int = 1) -> np.ndarray:
-    """Kernel of P^power via the grid Fourier transform."""
-    p = spec.momentum_grid().astype(complex) ** power
-    return _circulant(np.fft.ifft(np.fft.ifftshift(p)) / spec.dq)
 
 
 def grid_hamiltonian(spec: GridSpec, mass: float, potential) -> np.ndarray:

@@ -74,9 +74,9 @@ def test_criterion_03_entropic_bound():
     for _ in range(50):
         v = env * (rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
         v /= math.sqrt(np.sum(np.abs(v) ** 2) * spec.dq)
-        res = ps.entropic_inin(ps.GridWavefunction(spec, v))
-        worst = min(worst, res["margin"])
-    gauss = ps.entropic_inin(ps.gaussian_packet(spec, alpha2=1.0))
+        res = ps.variance_from_entropic(ps.GridWavefunction(spec, v))
+        worst = min(worst, res["entropy"] - res["bound"])
+    gauss = ps.variance_from_entropic(ps.gaussian_packet(spec, alpha2=1.0))
     gauss_gap = abs(gauss["entropy"] - gauss["bound"])
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-4 and gauss_gap < 1e-3

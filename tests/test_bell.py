@@ -17,7 +17,6 @@ from qdesk.bell import (
     random_density,
     random_separable,
     singlet,
-    singlet_chsh_closed_form,
     werner_state,
 )
 from qdesk.operators import DensityOperator, HermitianOperator
@@ -38,11 +37,13 @@ class TestCHSH:
         assert abs(val + TSIRELSON) < 1e-12
 
     def test_closed_form_matches_operator_value(self):
+        # the singlet expectation of K is -a.c - a.d - b.c + b.d
         rng = np.random.default_rng(1)
         for _ in range(30):
             cfg = random_config(rng)
+            a, b, c, d = (np.asarray(v) for v in (cfg.a, cfg.b, cfg.c, cfg.d))
             val = chsh_value(singlet(), cfg)
-            assert abs(val - singlet_chsh_closed_form(cfg)) < 1e-12
+            assert abs(val - (-a @ c - a @ d - b @ c + b @ d)) < 1e-12
 
     def test_square_identity_residual(self):
         rng = np.random.default_rng(2)

@@ -41,6 +41,16 @@ def test_package_exports_are_in_module_all():
     assert qdesk.moments is modules["moments"].moments
 
 
+def test_no_name_in_two_module_alls():
+    """``qdesk`` star-imports every module, so a name in two ``__all__``
+    lists would be bound to the later module's object without an error."""
+    owners = {}
+    for path in MODULES:
+        for name in declared_all(parse(path)):
+            owners.setdefault(name, []).append(path.stem)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_module_level_import(path):
     tree = parse(path)

@@ -1,7 +1,5 @@
 """Tests for the dense operator layer."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,6 @@ from qdesk.operators import (
     func_of,
     gleason_additivity_check,
     lattice_meet,
-    matrix_from_json,
-    matrix_to_json,
     partial_trace,
     standardized_commutator,
     tensor,
@@ -181,16 +177,3 @@ class TestGleason:
         with pytest.raises(ValueError, match="not orthogonal"):
             gleason_additivity_check(
                 w, [np.outer(v1, v1).astype(complex), np.outer(v2, v2).astype(complex)])
-
-
-class TestSerialization:
-    def test_matrix_json_roundtrip(self):
-        rng = np.random.default_rng(30)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = (m + m.conj().T) / 2
-        back = matrix_from_json(matrix_to_json(m))
-        assert np.max(np.abs(back - m)) == 0.0
-
-    def test_json_payload_fields(self):
-        d = json.loads(matrix_to_json(np.eye(2)))
-        assert set(d) == {"rows", "cols", "re", "im"}

@@ -22,7 +22,6 @@ from qdesk.phasespace import (
     from_momentum,
     gauss_smooth,
     grid_hamiltonian,
-    momentum_kernel,
     to_momentum,
     weyl_quantize,
     wigner_transform,
@@ -120,13 +119,6 @@ class TestAgainstDenseSums:
         phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         back = from_momentum(psi.spec, phi)
         assert rel_err(back, np.linalg.solve(u, phi)) < TOL
-
-    @pytest.mark.parametrize("power", [1, 2])
-    def test_momentum_kernel(self, n, length, hbar, power):
-        _, p, dq, _ = axes(n, length, hbar)
-        u = dft_matrix(n, length, hbar)
-        ref = np.linalg.solve(u, p[:, None] ** power * u) / dq
-        assert rel_err(momentum_kernel(GridSpec(n, length, hbar), power), ref) < TOL
 
     def test_grid_hamiltonian(self, n, length, hbar):
         q, p, _, _ = axes(n, length, hbar)
