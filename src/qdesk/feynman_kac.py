@@ -288,8 +288,10 @@ def spectral_partition(v: Potential, beta: float, spec: GridSpec | None = None,
     Then n doubles over the box until two successive sums agree within
     1e-10 relative, and the finer sum is returned.  A grid past n = 4096
     raises ValueError.  A given ``spec`` is used as is, after the cutoff and
-    edge tests."""
+    edge tests; its hbar must equal ``hbar``."""
     _require_positive(beta=beta, m=m, hbar=hbar)
+    if spec is not None and spec.hbar != hbar:
+        raise ValueError("spec.hbar must equal hbar")
     if spec is not None:
         cutoff = _cutoff_exponent(spec, beta, m)
         if cutoff < _CUTOFF_EXPONENT:

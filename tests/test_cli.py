@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from qdesk import cli
+from qdesk.feynman_kac import PartitionReport
+from qdesk.moments import MomentReport
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +175,16 @@ class TestOutputs:
                           "--force")
         assert code == 0
         assert json.loads(path.read_text())["scenario"] == "bell"
+
+    @pytest.mark.parametrize("scenario,report", [
+        ("inin", MomentReport), ("fk", PartitionReport)], ids=["inin", "fk"])
+    def test_json_keys_are_the_report_fields(self, capsys, scenario, report):
+        # the record and a report dataclass both reach JSON through asdict
+        code, out = run_cli(capsys, "--scenario", scenario, *FAST_ARGS[scenario])
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == [f.name for f in dataclasses.fields(cli.ReportRecord)]
+        assert list(payload["results"]) == [f.name for f in dataclasses.fields(report)]
 
     def test_csv_report_two_lines(self, capsys):
         code, out = run_cli(capsys, "--scenario", "mermin", "--format", "csv")

@@ -129,6 +129,13 @@ class TestSpectralReference:
         rep = bound_check(HARMONIC, 2.0, m=mass, hbar=hbar, n_paths=2_000)
         assert abs(rep.spectral_reference - exact) < 1e-10 * exact
 
+    def test_spectral_partition_rejects_spec_in_other_units(self):
+        # the grid's hbar sets its momentum axis, so another hbar would be
+        # silently ignored
+        with pytest.raises(ValueError, match="hbar"):
+            spectral_partition(HARMONIC, 2.0, GridSpec(n=512, length=32.0, hbar=1.0),
+                               hbar=0.5)
+
     def test_sandwich(self):
         z = spectral_partition(HARMONIC, 2.0)
         lo = classical_partition(HARMONIC, 2.0, 2.0, 1.0)
@@ -341,15 +348,18 @@ class TestSpectralGrid:
 
 
 class TestParameterChecks:
-    @pytest.mark.parametrize("beta,m,hbar,m_slices,message", [
-        (math.nan, 1.0, 1.0, 64, "beta must be finite and positive"),
-        (2.0, math.nan, 1.0, 64, "m must be finite and positive"),
-        (2.0, 1.0, math.inf, 64, "hbar must be finite and positive"),
-        (2.0, 1.0, 1.0, 0, "m_slices must be at least 1")],
-        ids=["beta", "m", "hbar", "m_slices"])
-    def test_fk_mc_partition(self, beta, m, hbar, m_slices, message):
-        with pytest.raises(ValueError, match=message):
-            fk_mc_partition(HARMONIC, beta, m, hbar, m_slices, n_paths=100)
+    @pytest.mark.parametrize("beta,m,hbar,name", [
+        (math.nan, 1.0, 1.0, "beta"), (2.0, math.nan, 1.0, "m"),
+        (2.0, 1.0, math.inf, "hbar")])
+    def test_fk_mc_partition(self, beta, m, hbar, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            fk_mc_partition(HARMONIC, beta, m, hbar, n_paths=100)
+
+    @pytest.mark.parametrize("m_slices", [0, -1])
+    def test_fk_mc_partition_rejects_fewer_than_one_slice(self, m_slices):
+        # one slice is the classical z(beta, 0); none would divide by zero
+        with pytest.raises(ValueError, match="m_slices must be at least 1"):
+            fk_mc_partition(HARMONIC, 2.0, m_slices=m_slices, n_paths=100)
 
     @pytest.mark.parametrize("beta,m,hbar,name", [
         (math.nan, 1.0, 1.0, "beta"), (2.0, math.inf, 1.0, "m"),
@@ -379,15 +389,14 @@ class TestBridges:
         assert len(b.slices) == 65
         assert b.times()[-1] == 2.0
 
-    @pytest.mark.parametrize("m_slices,n_paths,seed,rows", [
-        (64, 50, 9, (0, 7, 49)), (16, 41, 3, range(41))],
-        ids=["three-rows", "all-rows"])
-    def test_path_addressing_deterministic(self, m_slices, n_paths, seed, rows):
+    def test_path_addressing_deterministic(self):
         # row k of an ensemble equals the path sampled on its own
-        ens = sample_bridge_ensemble(2.0, m_slices, n_paths, seed=seed)
-        for k in rows:
-            single = sample_bridge(2.0, m_slices, seed=seed, path_index=k)
-            assert np.array_equal(ens[k], single.slices)
+        for m_slices, n_paths, seed, rows in ((64, 50, 9, (0, 7, 49)),
+                                              (16, 41, 3, range(41))):
+            ens = sample_bridge_ensemble(2.0, m_slices, n_paths, seed=seed)
+            for k in rows:
+                single = sample_bridge(2.0, m_slices, seed=seed, path_index=k)
+                assert np.array_equal(ens[k], single.slices)
 
     def test_midpoint_covariance(self):
         # var w(beta/2) = (hbar^2/m)(beta/4)

@@ -544,6 +544,35 @@ class TestFreeEvolution:
             assert abs(vq - vq_ref) < 1e-5
         assert abs(pq_covariance(evolve_free(psi, tc, mass=mass))) < 1e-5
 
+    @pytest.mark.parametrize("mass,hbar", [(2.0, 1.0), (1.5, 0.5), (0.7, 2.0)])
+    def test_moment_closed_forms_in_other_units(self, mass, hbar):
+        # var_p stays, c_PQ gains t var_p/m, var_q gains 2t c_PQ/m + t^2 var_p/m^2
+        spec = GridSpec(n=512, length=32.0, hbar=hbar)
+        psi = gaussian_packet(spec, alpha2=1.0, gamma=-0.3)
+        _, var_q0 = position_moments(psi)
+        _, var_p0 = momentum_moments(psi)
+        cov0 = pq_covariance(psi)
+        for t in (0.7, 1.7):
+            phi = evolve_free(psi, t, mass=mass)
+            _, vq = position_moments(phi)
+            _, vp = momentum_moments(phi)
+            assert abs(vp - var_p0) < 1e-5
+            assert abs(pq_covariance(phi) - (cov0 + t * var_p0 / mass)) < 1e-5
+            vq_ref = var_q0 + 2 * t * cov0 / mass + t * t * var_p0 / mass ** 2
+            assert abs(vq - vq_ref) < 1e-5
+
+    @pytest.mark.parametrize("mass,hbar", [(2.0, 1.0), (1.5, 0.5), (0.7, 2.0)])
+    def test_covariance_changes_sign_at_closed_form_time(self, mass, hbar):
+        # c_PQ(t) = c0 + t var_p/m with c0 < 0 vanishes at t_c = m |c0|/var_p
+        spec = GridSpec(n=512, length=32.0, hbar=hbar)
+        psi = gaussian_packet(spec, alpha2=1.0, gamma=-0.3)
+        _, var_p0 = momentum_moments(psi)
+        tc = mass * abs(pq_covariance(psi)) / var_p0
+        assert abs(pq_covariance(evolve_free(psi, tc, mass=mass))) < 1e-5
+        before = pq_covariance(evolve_free(psi, 0.9 * tc, mass=mass))
+        after = pq_covariance(evolve_free(psi, 1.1 * tc, mass=mass))
+        assert before < 0 < after
+
 
 class TestFieldIO:
     def test_csv_shape(self, tmp_path):

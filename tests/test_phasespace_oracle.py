@@ -147,6 +147,23 @@ class TestAgainstDenseSums:
         ref = weyl_oracle(fine, n, length, hbar, compact)
         assert rel_err(weyl_quantize(field, compact=compact), ref) < TOL
 
+    @pytest.mark.parametrize("coefficient", ["cp", "cpp", "cq", "cqq"])
+    def test_weyl_quantize_of_a_power_is_the_operator_power(self, n, length,
+                                                            hbar, coefficient):
+        # p^k -> P^k = U^-1 p^k U and q^k -> Q^k, as kernels per unit dq
+        spec = GridSpec(n, length, hbar)
+        q, p, dq, _ = axes(n, length, hbar)
+        sym = QuadraticSymbol(**{coefficient: 1.0})
+        got = weyl_quantize(sym.field(spec), fine_symbol=sym.fine_field(spec),
+                            compact=False)
+        power = len(coefficient) - 1
+        if coefficient[1] == "p":
+            u = dft_matrix(n, length, hbar)
+            ref = np.linalg.solve(u, p[:, None] ** power * u) / dq
+        else:
+            ref = np.diag(q ** power) / dq
+        assert rel_err(got, ref) < TOL
+
     def test_weyl_quantize_fine_symbol(self, n, length, hbar):
         spec = GridSpec(n, length, hbar)
         sym = QuadraticSymbol(c0=0.3, cpp=0.5, cq=-0.2, cpq=0.1)
