@@ -42,41 +42,25 @@ _Q_NODES = 161  # q-nodes of a path's integral over q
 
 @dataclass(frozen=True)
 class Potential:
-    """Potential energy profile: polynomial (ascending coefficients),
-    vectorized callable, or a table interpolated on its own domain."""
+    """Potential energy profile on the whole real line: polynomial
+    (ascending coefficients) or vectorized callable."""
 
     coeffs: tuple | None = None
     fn: Callable | None = None
-    table: tuple | None = None  # (q_values, v_values)
-    domain: tuple | None = None
 
     def __post_init__(self):
-        supplied = sum(x is not None for x in (self.coeffs, self.fn, self.table))
-        if supplied != 1:
-            raise ValueError("exactly one of coeffs, fn, table must be given")
+        if (self.coeffs is None) == (self.fn is None):
+            raise ValueError("exactly one of coeffs, fn must be given")
         if self.coeffs is not None:
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.table is not None:
-            q, v = (np.asarray(a, dtype=float) for a in self.table)
-            if q.ndim != 1 or q.shape != v.shape or len(q) < 2:
-                raise ValueError("table must be two equal-length 1-d arrays")
-            if np.any(np.diff(q) <= 0):
-                raise ValueError("table abscissae must be strictly increasing")
-            object.__setattr__(self, "table", (q, v))
-            if self.domain is None:
-                object.__setattr__(self, "domain", (float(q[0]), float(q[-1])))
 
     @classmethod
     def polynomial(cls, coeffs) -> "Potential":
         return cls(coeffs=tuple(coeffs))
 
     @classmethod
-    def from_callable(cls, fn, domain=None) -> "Potential":
-        return cls(fn=fn, domain=domain)
-
-    @classmethod
-    def tabulated(cls, q, v) -> "Potential":
-        return cls(table=(q, v))
+    def from_callable(cls, fn) -> "Potential":
+        return cls(fn=fn)
 
     @property
     def is_polynomial(self) -> bool:
@@ -88,14 +72,8 @@ class Potential:
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
-        if self.domain is not None:
-            lo, hi = self.domain
-            if np.any(q < lo - 1e-12) or np.any(q > hi + 1e-12):
-                raise ValueError("evaluation outside the declared domain")
         if self.coeffs is not None:
             return npoly.polyval(q, self.coeffs)
-        if self.table is not None:
-            return np.interp(q, *self.table)
         out = np.asarray(self.fn(q), dtype=float)
         if out.shape != q.shape:
             raise ValueError("potential callable must be vectorized")
@@ -106,12 +84,10 @@ class Potential:
             d = npoly.polyder(self.coeffs)
             return lambda q: npoly.polyval(np.asarray(q, dtype=float), d)
         h = 1e-5
-        lo, hi = self.domain if self.domain is not None else (-np.inf, np.inf)
 
         def central(q):
-            # one-sided at the domain's ends: the steps stay inside it
             q = np.asarray(q, dtype=float)
-            up, down = np.minimum(q + h, hi), np.maximum(q - h, lo)
+            up, down = q + h, q - h
             return (self(up) - self(down)) / (up - down)
 
         return central
@@ -137,23 +113,19 @@ def gauss_transform_potential(v: Potential, tau: float, m: float,
             for j in range(0, i + 1, 2):
                 mom = math.prod(range(j - 1, 0, -2))  # E[xi^j] = (j-1)!!
                 out[i - j] += ci * math.comb(i, j) * mom * s ** (j / 2)
-        return Potential(coeffs=tuple(out), domain=v.domain)
+        return Potential(coeffs=tuple(out))
     nodes, weights = np.polynomial.hermite_e.hermegauss(64)
     root_s = math.sqrt(s)
     norm = weights.sum()
-    dom = v.domain
 
     def smoothed(q):
         q = np.asarray(q, dtype=float)
-        shifts = q[..., None] + root_s * nodes
-        if dom is not None:
-            shifts = np.clip(shifts, dom[0], dom[1])
-        vals = v(shifts)
+        vals = v(q[..., None] + root_s * nodes)
         if not np.all(np.isfinite(vals)):
             raise ValueError("potential grows too fast for the quadrature")
         return (vals * weights).sum(axis=-1) / norm
 
-    return Potential(fn=smoothed, domain=dom)
+    return Potential(fn=smoothed)
 
 
 def _decay_radius(v: Potential, beta: float, floor: float = _EXP_FLOOR,
@@ -184,14 +156,10 @@ def _thermal_lambda(beta: float, m: float, hbar: float) -> float:
 
 
 def _quad_grid(vt: Potential, beta: float) -> np.ndarray:
-    """8193 q-nodes for int dq e^{-beta v_tau}: the declared domain, else out
-    to where the integrand is under the exp floor."""
-    if vt.domain is not None:
-        lo, hi = vt.domain
-    else:
-        r = _decay_radius(vt, beta)
-        lo, hi = -r, r
-    return np.linspace(lo, hi, 8193)
+    """8193 q-nodes for int dq e^{-beta v_tau}, out to where the integrand is
+    under the exp floor."""
+    r = _decay_radius(vt, beta)
+    return np.linspace(-r, r, 8193)
 
 
 def classical_partition(v: Potential, beta: float, tau: float, m: float,
@@ -202,7 +170,7 @@ def classical_partition(v: Potential, beta: float, tau: float, m: float,
     vt = gauss_transform_potential(v, tau, m, hbar)
     q = _quad_grid(vt, beta)
     integrand = np.exp(-np.clip(beta * vt(q), -_EXP_FLOOR, _EXP_FLOOR))
-    if v.domain is None and max(integrand[0], integrand[-1]) > 1e-300:
+    if max(integrand[0], integrand[-1]) > 1e-300:
         raise ValueError("divergent integral: integrand does not vanish at edges")
     return float(np.trapezoid(integrand, q) / _thermal_lambda(beta, m, hbar))
 
@@ -459,20 +427,16 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
     dtau = beta / m_slices
     tw = np.full(m_slices + 1, dtau)
     tw[0] = tw[-1] = dtau / 2
-    # a polynomial's action is a polynomial in q, unless a domain clips
-    coeffs = v.coeffs if v.domain is None else None
+    # a polynomial's action is a polynomial in q
+    coeffs = v.coeffs
     if coeffs is not None:
         deg = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
         coeffs = coeffs[:deg + 1]
     gaussian = coeffs is not None and deg == 2 and coeffs[2] > 0
     if not gaussian:
-        if v.domain is not None:
-            lo, hi = v.domain
-        else:
-            r = _decay_radius(v, beta, floor=27.7)  # e^{-beta v} < 1e-12
-            pad = 2 * math.sqrt(hbar ** 2 * beta / m)  # room for path excursions
-            lo, hi = -r - pad, r + pad
-        q = np.linspace(lo, hi, _Q_NODES)
+        r = _decay_radius(v, beta, floor=27.7)  # e^{-beta v} < 1e-12
+        pad = 2 * math.sqrt(hbar ** 2 * beta / m)  # room for path excursions
+        q = np.linspace(-r - pad, r + pad, _Q_NODES)
         scale = (q[1] - q[0]) / lam
         if coeffs is not None:
             qpow = np.vander(q, deg + 1, increasing=True).T.copy()
@@ -520,10 +484,7 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
             action = a["action"]
             action.fill(0.0)
             for j, weight in enumerate(tw):
-                pos = q[None, :] + w[:, [j]]
-                if v.domain is not None:
-                    pos = np.clip(pos, lo, hi)
-                action += weight * v(pos)
+                action += weight * v(q[None, :] + w[:, [j]])
         # e^{-(A - min A)} in place, floored: exp is 3-4x slower on subnormals
         shift = action.min(axis=1)
         np.subtract(shift[:, None], action, out=action)
@@ -545,8 +506,8 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     trapezoid time integral A_k(q) = sum_j' v(q + w_k(tau_j)) dtau; the
     estimate is the path-ensemble mean of Y (pairwise summation, fixed
     path order), the stderr its sample deviation over sqrt(N).  On a
-    quadratic well without a domain Y_k is the Gaussian integral in closed
-    form, else a sum of float64 weights e^{-(A_k - min A_k)} on 161 q-nodes.
+    quadratic well Y_k is the Gaussian integral in closed form, else a sum
+    of float64 weights e^{-(A_k - min A_k)} on 161 q-nodes.
     Paths run in blocks of 512, whose arrays stay in cache, on two threads
     (numpy's Gaussian sampler and array operations release the GIL) and one
     BLAS thread; each block writes its own slice of the values."""

@@ -65,6 +65,20 @@ class TestScenarios:
         payload = json.loads(out)
         assert abs(payload["results"]["chsh_value"] + 2 * 2 ** 0.5) < 1e-12
 
+    def test_bell_value_comes_from_chsh_value(self, capsys, monkeypatch):
+        # one library call computes tr(WK), as perfbench's span counts it
+        original = cli.bl.chsh_value
+        calls = []
+
+        def spy(w, cfg):
+            calls.append(original(w, cfg))
+            return calls[-1]
+
+        monkeypatch.setattr(cli.bl, "chsh_value", spy)
+        code, out = run_cli(capsys, "--scenario", "bell")
+        assert code == 0
+        assert calls == [json.loads(out)["results"]["chsh_value"]]
+
     def test_mermin_search_empty(self, capsys):
         code, out = run_cli(capsys, "--scenario", "mermin")
         payload = json.loads(out)
@@ -224,6 +238,21 @@ class TestExitCodes:
     def test_bad_state_exits_2(self, capsys):
         code, _ = run_cli(capsys, "--scenario", "bell", "--state", "ghz")
         assert code == 2
+
+    def test_zero_slices_exits_2(self, capsys):
+        assert cli.main(["--scenario", "fk", "--slices", "0"]) == 2
+        assert "slices must be at least 1" in capsys.readouterr().err
+
+    def test_one_slice_is_the_classical_bound(self, capsys):
+        # the library's bound: one slice gives every path the classical
+        # z(beta, 0), so the stderr is 0 and the 3-stderr check fails
+        code, out = run_cli(capsys, "--scenario", "fk", "--slices", "1",
+                            "--paths", "2000")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["checks"]["mc_within_3_stderr"] is False
+        results = payload["results"]
+        assert abs(results["mc_estimate"] - results["z_upper"]) <= 1e-7
 
     @pytest.mark.parametrize("argv", [
         ("--scenario", "entropic", "--hbar", "nan"),

@@ -40,34 +40,16 @@ class TestPotential:
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
             Potential(coeffs=(0.0, 1.0), fn=lambda q: q)
+        with pytest.raises(ValueError):
+            Potential()
 
     def test_polynomial_eval(self):
         assert HARMONIC(2.0) == 2.0
         assert np.allclose(HARMONIC(np.array([0.0, 1.0])), [0.0, 0.5])
 
-    def test_tabulated_interpolates(self):
-        v = Potential.tabulated([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
-        assert abs(float(v(0.5)) - 0.5) < 1e-12
-
-    def test_tabulated_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            Potential.tabulated([0.0, -1.0, 1.0], [0.0, 1.0, 1.0])
-
-    def test_domain_enforced(self):
-        v = Potential.from_callable(lambda q: q ** 2, domain=(-1.0, 1.0))
-        with pytest.raises(ValueError):
-            v(2.0)
-
     def test_derivative_polynomial(self):
         d = QUARTIC.derivative()
         assert abs(float(d(2.0)) - 8.0) < 1e-12
-
-    def test_derivative_stays_in_domain(self):
-        # one-sided differences at the ends instead of evaluating outside
-        v = Potential.from_callable(lambda q: q ** 2, domain=(-1.0, 1.0))
-        d = v.derivative()
-        assert abs(float(d(0.5)) - 1.0) < 1e-8
-        assert np.all(np.abs(d(np.array([-1.0, 1.0])) - [-2.0, 2.0]) < 1e-4)
 
 
 class TestGaussTransform:
@@ -485,7 +467,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("v", [
         HARMONIC, QUARTIC,
-        Potential.from_callable(lambda q: 0.5 * q ** 2, domain=(-9.0, 9.0))])
+        Potential.from_callable(lambda q: 0.5 * q ** 2)])
     def test_path_value_independent_of_surrounding_paths(self, v):
         # a path's value is a function of (seed, path index) alone, whatever
         # block it is computed in and however many paths share the block
@@ -567,18 +549,6 @@ class TestQuadraticClosedForm:
         grid = _block_sampler(twin, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
         np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
 
-    def test_domain_keeps_the_grid(self):
-        # paths are clipped to the domain as for a callable, and the sum
-        # stops at its ends, so the whole-line closed form does not apply
-        v = Potential(coeffs=(0.0, 0.0, 0.5), domain=(-3.0, 3.0))
-        twin = Potential.from_callable(lambda q: 0.5 * q ** 2, domain=(-3.0, 3.0))
-        y = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
-        grid = _block_sampler(twin, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
-        np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
-        whole_line = _gaussian_path_values((0.0, 0.0, 0.5), 2.0, 1.0, 1.0, 64,
-                                           1_000, 3)
-        assert np.max(np.abs(y / whole_line - 1)) > 1e-3
-
     def test_trailing_zero_coefficients_take_the_closed_form(self):
         padded = Potential.polynomial((0.0, 0.0, 0.5, 0.0, 0.0))
         y = _block_sampler(padded, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
@@ -613,14 +583,12 @@ class TestBoundsAndTauStar:
         res = monotonicity_check(QUARTIC, 2.0)
         assert res["strictly_decreasing"]
 
-    def test_monotonicity_callable_with_domain(self):
-        # the derivative identity is checked up to the domain's ends
-        v = Potential.from_callable(lambda q: 0.5 * q ** 2, domain=(-8.0, 8.0))
-        res = monotonicity_check(v, 1.0)
+    def test_monotonicity_callable(self):
+        # the derivative identity with v_tau' from central differences
+        v = Potential.from_callable(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4)
+        res = monotonicity_check(v, 2.0)
         assert res["strictly_decreasing"]
         assert max(res["derivative_relative_errors"]) < 1e-8
-        narrow = Potential.from_callable(lambda q: 0.5 * q ** 2, domain=(-3.0, 3.0))
-        assert monotonicity_check(narrow, 1.0)["strictly_decreasing"]
 
     def test_tau_star_closed_form(self):
         ts = tau_star(HARMONIC, 2.0, z_target=SPECTRAL_HARMONIC)
