@@ -51,6 +51,19 @@ class TestPotential:
         d = QUARTIC.derivative()
         assert abs(float(d(2.0)) - 8.0) < 1e-12
 
+    def test_callable_must_be_vectorized(self):
+        with pytest.raises(ValueError, match="vectorized"):
+            Potential.from_callable(lambda q: 1.0)(np.zeros(3))
+
+    def test_callable_derivative_is_the_central_quotient(self):
+        # the same quotient everywhere on the line, far out included
+        v = Potential.from_callable(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4)
+        q = np.array([-50.0, -1.5, 0.0, 0.3, 50.0])
+        up, down = q + 1e-5, q - 1e-5
+        d = v.derivative()(q)
+        np.testing.assert_array_equal(d, (v(up) - v(down)) / (up - down))
+        np.testing.assert_allclose(d, q + 0.4 * q ** 3, rtol=1e-9, atol=1e-9)
+
 
 class TestGaussTransform:
     def test_harmonic_shift(self):
@@ -606,3 +619,13 @@ class TestBoundsAndTauStar:
         assert d["z_lower"] <= d["mc_estimate"] + 5 * d["mc_stderr"]
         assert d["mc_estimate"] - 5 * d["mc_stderr"] <= d["z_upper"]
         assert 0.0 < d["tau_star"] <= 2.0
+
+    def test_bound_check_runs_a_callable(self):
+        # every estimator runs the callable on the whole line, where the
+        # spectral box grows past any fixed interval
+        v = Potential.from_callable(lambda q: 0.5 * q ** 2)
+        d = bound_check(v, 0.5, n_paths=5_000, seed=1).to_json()
+        assert abs(d["spectral_reference"] * 2 * math.sinh(0.25) - 1) < 1e-9
+        assert d["z_lower"] <= d["spectral_reference"] <= d["z_upper"]
+        assert d["z_lower"] <= d["mc_estimate"] + 5 * d["mc_stderr"]
+        assert d["mc_estimate"] - 5 * d["mc_stderr"] <= d["z_upper"]
