@@ -420,7 +420,11 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
     """The per-block function of ``fk_mc_partition``: ``values(start,
     count)`` returns Y_k for paths [start, start+count).  Every step is
     row-wise and runs on whole row groups (see ``_bridge_rows``), so Y_k
-    depends only on (seed, k), not on the paths sampled with it."""
+    depends only on (seed, k), not on the paths sampled with it.  A
+    polynomial's path moments S_p take one product each for 1 <= p <= deg;
+    S_0, the same for every path, is computed once.  Build and call it on
+    one BLAS thread: ``fk_mc_partition`` holds ``_one_blas_thread``'s
+    non-reentrant lock around both, so the sampler must not enter it."""
     lam = _thermal_lambda(beta, m, hbar)
     levy_t = np.ascontiguousarray(_levy_matrix(beta, m_slices, m, hbar).T)
     # trapezoid weights: endpoints (both w=0) carry half weight each
@@ -440,6 +444,8 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
         scale = (q[1] - q[0]) / lam
         if coeffs is not None:
             qpow = np.vander(q, deg + 1, increasing=True).T.copy()
+    if coeffs is not None:
+        s0 = _serial_matmul(np.ones((4, m_slices + 1)), tw)[0]
     # Each thread reuses its arrays: freed ones go back to the OS when
     # glibc trims the thread's heap, and fault in anew.
     local = threading.local()
@@ -464,11 +470,15 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
             # binomial trick: sum_j' v(q+w_j) dtau expands in path moments
             # S_p = sum_j' w_j^p dtau, giving per-path polynomials in q
             s = np.empty((deg + 1, rows))
-            wp = a["wp"]
-            wp.fill(1.0)
-            for p in range(deg + 1):
+            s[0] = s0
+            wp = w
+            for p in range(1, deg + 1):
+                # repeated products: float ** is ~100x slower
+                if p == 2:
+                    wp = np.multiply(w, w, out=a["wp"])
+                elif p > 2:
+                    wp *= w
                 _serial_matmul(wp, tw, s[p])
-                wp *= w  # repeated products: float ** is ~100x slower
             qc = np.zeros((rows, deg + 1))  # action coefficients in q
             for i, ci in enumerate(coeffs):
                 if ci == 0:
@@ -508,25 +518,28 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     path order), the stderr its sample deviation over sqrt(N).  On a
     quadratic well Y_k is the Gaussian integral in closed form, else a sum
     of float64 weights e^{-(A_k - min A_k)} on 161 q-nodes.
-    Paths run in blocks of 512, whose arrays stay in cache, on two threads
-    (numpy's Gaussian sampler and array operations release the GIL) and one
-    BLAS thread; each block writes its own slice of the values."""
+    Paths run in blocks of 512, whose arrays stay in cache, in two tasks on
+    two threads (numpy's Gaussian sampler and array operations release the
+    GIL) and one BLAS thread: task t takes blocks t, t+2, ..., so a partial
+    last block does not unbalance them, and each block writes its own slice
+    of the values."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     if m_slices < 1:
         raise ValueError("m_slices must be at least 1")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
     values = np.empty(n_paths)
 
-    def run(start: int) -> None:
-        stop = min(start + _BLOCK_PATHS, n_paths)
-        values[start:stop] = block_values(start, stop - start)
+    def run(task: int) -> None:
+        for start in range(task * _BLOCK_PATHS, n_paths, 2 * _BLOCK_PATHS):
+            stop = min(start + _BLOCK_PATHS, n_paths)
+            values[start:stop] = block_values(start, stop - start)
 
     # imported here: only the path sampler needs it
     from concurrent.futures import ThreadPoolExecutor
     with _one_blas_thread(), ThreadPoolExecutor(2) as pool:
-        list(pool.map(run, range(0, n_paths, _BLOCK_PATHS)))
+        block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
+        list(pool.map(run, range(2)))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_paths))
     return estimate, stderr
@@ -555,25 +568,41 @@ class PartitionReport:
 
 def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
              z_target: float) -> float:
-    """Unique tau in (0, beta] with z(beta, tau) = z_target, by bisection
-    on the strictly decreasing tau -> z(beta, tau)."""
+    """Unique tau in (0, beta] with |z(beta, tau) - z_target| <= 1e-8
+    z_target on the strictly decreasing tau -> z(beta, tau), by Illinois
+    false position on [0, beta] (Dowell & Jarratt, BIT 11, 168 (1971)): an
+    end kept by two steps in a row has its value halved, and a step not
+    strictly inside the bracket takes the midpoint.  RuntimeError after
+    200 steps."""
     z0 = classical_partition(v, beta, 0.0, m, hbar)
     zb = classical_partition(v, beta, beta, m, hbar)
     if not (zb - 1e-12 <= z_target < z0):
         raise ValueError("target outside the bracket [z(beta,beta), z(beta,0))")
-    if abs(z_target - zb) <= 1e-8 * z_target:
+    tol = 1e-8 * z_target
+    if abs(z_target - zb) <= tol:
         return beta
-    lo, hi = 0.0, beta  # z(lo) > target >= z(hi)
+    lo, hi = 0.0, beta
+    f_lo, f_hi = z0 - z_target, zb - z_target  # f_lo > 0 > f_hi
+    kept = None  # the end that the last step kept
     for _ in range(200):
-        mid = (lo + hi) / 2
-        zm = classical_partition(v, beta, mid, m, hbar)
-        if abs(zm - z_target) <= 1e-8 * z_target:
-            return mid
-        if zm > z_target:
-            lo = mid
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = (lo + hi) / 2
+        f = classical_partition(v, beta, t, m, hbar) - z_target
+        if abs(f) <= tol:
+            return t
+        if f > 0:
+            lo, f_lo = t, f
+            if kept == "hi":
+                f_hi /= 2
+            kept = "hi"
         else:
-            hi = mid
-    return mid
+            hi, f_hi = t, f
+            if kept == "lo":
+                f_lo /= 2
+            kept = "lo"
+    raise RuntimeError(f"tau_star did not converge: z(beta, {t!r}) misses "
+                       f"the target by {abs(f) / z_target:.3g} relative")
 
 
 def bound_check(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -211,6 +212,20 @@ class TestOneBlasThread:
         monkeypatch.setattr(fk, "_block_sampler", spying_sampler)
         fk_mc_partition(HARMONIC, 2.0, n_paths=2_000)
         assert seen == [1] * 4 and blas() == 2
+
+    def test_sampler_is_built_inside_one_blas_thread(self):
+        # fk_mc_partition holds the non-reentrant one-thread lock while it
+        # builds and runs the sampler, so the sampler must not take it
+        done = []
+
+        def build_and_run():
+            with ops._one_blas_thread():
+                done.append(_block_sampler(HARMONIC, 2.0, 1.0, 1.0, 64, seed=1)(0, 8))
+
+        worker = threading.Thread(target=build_and_run, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(done) == 1
 
     def test_count_restored_when_the_eigensolve_raises(self, blas, monkeypatch):
         seen = []
@@ -490,11 +505,17 @@ class TestMonteCarlo:
         assert np.array_equal(first[3:8], values(3, 5))
         assert np.array_equal(first[7:8], values(7, 1))
 
-    def test_estimate_is_mean_of_path_values(self):
-        est, stderr = fk_mc_partition(QUARTIC, 2.0, n_paths=1_500, seed=6)
-        y = _block_sampler(QUARTIC, 2.0, 1.0, 1.0, 64, seed=6)(0, 1_500)
+    @pytest.mark.parametrize("v", [
+        HARMONIC, QUARTIC,
+        Potential.from_callable(lambda q: 0.5 * q ** 2)])
+    @pytest.mark.parametrize("n_paths", [2, 513, 1_500, 5_003])
+    def test_estimate_is_mean_of_path_values(self, v, n_paths):
+        # one block, an odd block count, and a partial last block: the two
+        # threads' interleaved blocks give the values of one serial call
+        est, stderr = fk_mc_partition(v, 2.0, n_paths=n_paths, seed=6)
+        y = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=6)(0, n_paths)
         assert est == float(np.mean(y))
-        assert stderr == float(np.std(y, ddof=1) / math.sqrt(1_500))
+        assert stderr == float(np.std(y, ddof=1) / math.sqrt(n_paths))
 
     def test_threads_give_same_bits_under_fast_switching(self):
         # blocks run on two threads; with the interpreter switching threads
@@ -603,10 +624,69 @@ class TestBoundsAndTauStar:
         assert res["strictly_decreasing"]
         assert max(res["derivative_relative_errors"]) < 1e-8
 
-    def test_tau_star_closed_form(self):
-        ts = tau_star(HARMONIC, 2.0, z_target=SPECTRAL_HARMONIC)
-        exact = 12.0 * math.log(math.sinh(1.0))
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_tau_star_closed_form(self, beta, hbar, m):
+        # z(beta, tau) = e^{-beta tau hbar^2/24m}/x with x = beta hbar/sqrt(m)
+        # meets the exact trace 1/(2 sinh(x/2)) at the closed-form tau*
+        x = beta * hbar / math.sqrt(m)
+        exact = 24 * m / (beta * hbar ** 2) * math.log(2 * math.sinh(x / 2) / x)
+        ts = tau_star(HARMONIC, beta, m, hbar,
+                      z_target=1 / (2 * math.sinh(x / 2)))
         assert abs(ts - exact) < 1e-6
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_tau_star_meets_the_quartic_target(self, beta, hbar, m):
+        target = classical_partition(QUARTIC, beta, beta / 3, m, hbar)
+        ts = tau_star(QUARTIC, beta, m, hbar, z_target=target)
+        z = classical_partition(QUARTIC, beta, ts, m, hbar)
+        assert abs(z - target) <= 1e-8 * target
+
+    @pytest.mark.parametrize("v", [HARMONIC, QUARTIC])
+    @pytest.mark.parametrize("hbar, m", [(1.0, 1.0), (0.5, 1.0), (2.0, 1.0),
+                                         (1.0, 2.0)])
+    def test_tau_star_takes_at_most_ten_partition_calls(self, v, hbar, m,
+                                                        monkeypatch):
+        # the benchmark's bound_check settings: beta 2, the spectral target
+        target = spectral_partition(v, 2.0, m=m, hbar=hbar)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return classical_partition(*args)
+
+        monkeypatch.setattr(fk, "classical_partition", counting)
+        ts = tau_star(v, 2.0, m, hbar, z_target=target)
+        assert len(calls) <= 10
+        assert abs(classical_partition(v, 2.0, ts, m, hbar) - target) \
+            <= 1e-8 * target
+
+    @pytest.mark.parametrize("z", [lambda t: 1 + (2 - t) ** 2 / 2,
+                                   lambda t: 3 - t ** 2 / 2],
+                             ids=["convex", "concave"])
+    def test_tau_star_converges_fast_on_either_curvature(self, z, monkeypatch):
+        # false position keeps the lower end of a convex z and the upper end
+        # of a concave one; halving the kept end's value stops either stall
+        calls = []
+
+        def fake(v, beta, tau, m, hbar):
+            calls.append(tau)
+            return z(tau)
+
+        monkeypatch.setattr(fk, "classical_partition", fake)
+        ts = tau_star(HARMONIC, 2.0, z_target=2.0)
+        assert abs(z(ts) - 2.0) <= 2e-8
+        assert len(calls) <= 10
+
+    def test_tau_star_raises_when_unconverged(self, monkeypatch):
+        # a z(beta, tau) that steps across the target never meets it
+        monkeypatch.setattr(fk, "classical_partition",
+                            lambda v, beta, tau, m, hbar: 2.0 if tau < 0.7 else 1.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            tau_star(HARMONIC, 2.0, z_target=1.5)
 
     def test_tau_star_requires_target(self):
         with pytest.raises(TypeError, match="z_target"):
