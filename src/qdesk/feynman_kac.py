@@ -29,7 +29,7 @@ from .operators import _one_blas_thread, _require_positive
 from .phasespace import GridSpec, grid_hamiltonian
 
 __all__ = [
-    "Potential", "BridgePath", "PartitionReport",
+    "Potential", "PartitionReport",
     "gauss_transform_potential", "classical_partition", "spectral_partition",
     "sample_bridge", "sample_bridge_ensemble", "fk_mc_partition",
     "bound_check", "tau_star", "monotonicity_check",
@@ -294,27 +294,6 @@ def spectral_partition(v: Potential, beta: float, spec: GridSpec | None = None,
         spec, total = finer, finer_total
 
 
-@dataclass(frozen=True)
-class BridgePath:
-    """Pinned Wiener path w(tau_k), tau_k = k beta/M, with w(0) = w(beta) = 0
-    and covariance (hbar^2/m)(min(tau, tau') - tau tau'/beta)."""
-
-    beta: float
-    slices: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.slices, dtype=float)
-        object.__setattr__(self, "slices", s)
-        _require_positive(beta=self.beta)
-        if s.ndim != 1 or len(s) < 3:
-            raise ValueError("a bridge needs at least 3 slice values")
-        if s[0] != 0.0 or s[-1] != 0.0:
-            raise ValueError("bridge endpoints must be exactly 0")
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.beta, len(self.slices))
-
-
 def _bisection_schedule(m_slices: int) -> list[tuple[int, int, int]]:
     """Deterministic (left, mid, right) fill order for the midpoint
     construction; each entry consumes one standard normal."""
@@ -347,45 +326,44 @@ def _levy_matrix(beta: float, m_slices: int, m: float, hbar: float) -> np.ndarra
     return levy
 
 
-def _ceil4(n: int) -> int:
-    """``n`` rounded up to a multiple of four."""
-    return -(-n // 4) * 4
+def _block_normals(m_slices: int, seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """The m_slices-1 standard normals of each of ``block``'s 512 paths,
+    written into ``out``'s rows: path k is row k % 512 of the Gaussian
+    stream of Philox(key=seed, counter=[0, 0, 0, k // 512])."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
+    return gen.standard_normal((_BLOCK_PATHS, m_slices - 1), out=out)
 
 
-def _path_normals(m_slices: int, seed: int, start: int, out: np.ndarray) -> np.ndarray:
-    """The m_slices-1 standard normals of each path in [start,
-    start+len(out)), written into ``out``'s rows.  Path k is row k % 512 of
-    the Gaussian stream of Philox(key=seed, counter=[0, 0, 0, k // 512]);
-    a range starting inside a block draws and discards the rows before it."""
-    stop = start + len(out)
-    for block in range(start // _BLOCK_PATHS, -(-stop // _BLOCK_PATHS)):
-        first = block * _BLOCK_PATHS
-        lo, hi = max(start, first), min(stop, first + _BLOCK_PATHS)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
-        gen.standard_normal((lo - first, m_slices - 1))
-        gen.standard_normal(out=out[lo - start:hi - start])
-    return out
+def _block_bridges(levy_t: np.ndarray, seed: int, block: int, z: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """Bridges w = z Lᵀ of ``block``'s 512 paths as ``w``'s rows, their
+    normals drawn into ``z``; for a caller on one BLAS thread."""
+    return _serial_matmul(_block_normals(len(levy_t) + 1, seed, block, z), levy_t, w)
 
 
-def _bridge_rows(beta: float, m_slices: int, m: float, hbar: float, seed: int,
-                 start: int, count: int) -> np.ndarray:
-    """Bridges w = z Lᵀ of paths [start, start+count) as rows, by
-    ``_serial_matmul`` on whole row groups, the paths after the range
-    filling the last: a one-row product takes BLAS's dot or matrix-vector
-    kernel, whose rounding differs."""
+def _bridges(beta: float, m_slices: int, m: float, hbar: float, seed: int,
+             blocks: range) -> np.ndarray:
+    """The bridges of the paths of ``blocks``, 512 rows per block."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     if m_slices < 2:
         raise ValueError("m_slices must be at least 2")
     levy_t = np.ascontiguousarray(_levy_matrix(beta, m_slices, m, hbar).T)
-    z = np.empty((_ceil4(count), m_slices - 1))
+    z = np.empty((_BLOCK_PATHS, m_slices - 1))
+    w = np.empty((len(blocks), _BLOCK_PATHS, m_slices + 1))
     with _one_blas_thread():
-        return _serial_matmul(_path_normals(m_slices, seed, start, z), levy_t)[:count]
+        for rows, block in zip(w, blocks):
+            _block_bridges(levy_t, seed, block, z, rows)
+    return w.reshape(-1, m_slices + 1)
 
 
 def sample_bridge(beta: float, m_slices: int, m: float = 1.0, hbar: float = 1.0,
-                  seed: int = 0, path_index: int = 0) -> BridgePath:
-    """One pinned bridge; deterministic in (seed, path_index)."""
-    return BridgePath(beta, _bridge_rows(beta, m_slices, m, hbar, seed, path_index, 1)[0])
+                  seed: int = 0, path_index: int = 0) -> np.ndarray:
+    """Pinned Wiener path w(tau_j), tau_j = j beta/m_slices, with
+    w(0) = w(beta) = 0 and covariance (hbar^2/m)(min(tau, tau') -
+    tau tau'/beta), as an (m_slices+1,) array; deterministic in (seed,
+    path_index).  It draws the whole 512-path block that holds the path."""
+    block, row = divmod(path_index, _BLOCK_PATHS)
+    return _bridges(beta, m_slices, m, hbar, seed, range(block, block + 1))[row]
 
 
 def sample_bridge_ensemble(beta: float, m_slices: int, n_paths: int,
@@ -393,7 +371,10 @@ def sample_bridge_ensemble(beta: float, m_slices: int, n_paths: int,
                            seed: int = 0) -> np.ndarray:
     """(n_paths, m_slices+1) array of bridge values; row k equals
     sample_bridge(..., path_index=k)."""
-    return _bridge_rows(beta, m_slices, m, hbar, seed, 0, n_paths)
+    if n_paths < 0:
+        raise ValueError("n_paths must be nonnegative")
+    blocks = range(-(-n_paths // _BLOCK_PATHS))
+    return _bridges(beta, m_slices, m, hbar, seed, blocks)[:n_paths]
 
 
 def _serial_matmul(a: np.ndarray, b: np.ndarray,
@@ -402,10 +383,11 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray,
     if given, for a C-contiguous ``b`` and a caller on one BLAS thread
     (``operators._one_blas_thread``).  OpenBLAS then computes each piece on
     the calling thread, four rows at a time.  A larger product goes to its
-    blocked kernel, whose rounding differs, and so does one with a
-    transposed ``b`` from 65536 multiply-adds on.  Pieces are whole
-    multiples of four rows, so a row's value does not depend on where they
-    fall."""
+    blocked kernel, whose rounding differs: as one product, a block's
+    bridges at 49 slices (1.2e6 multiply-adds) differ in about half of its
+    512 rows.  So does one with a transposed ``b`` from 65536 multiply-adds
+    on.  Pieces are whole multiples of four rows, so a row's value does not
+    depend on where they fall."""
     per_row = a.shape[1] * (b.shape[1] if b.ndim == 2 else 1)
     rows = max(4, 10 ** 6 // max(per_row, 1) // 4 * 4)
     if out is None:
@@ -416,15 +398,16 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray,
 
 
 def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
-                   m_slices: int, seed: int) -> Callable[[int, int], np.ndarray]:
-    """The per-block function of ``fk_mc_partition``: ``values(start,
-    count)`` returns Y_k for paths [start, start+count).  Every step is
-    row-wise and runs on whole row groups (see ``_bridge_rows``), so Y_k
-    depends only on (seed, k), not on the paths sampled with it.  A
-    polynomial's path moments S_p take one product each for 1 <= p <= deg;
-    S_0, the same for every path, is computed once.  Build and call it on
-    one BLAS thread: ``fk_mc_partition`` holds ``_one_blas_thread``'s
-    non-reentrant lock around both, so the sampler must not enter it."""
+                   m_slices: int, seed: int) -> Callable[[int], np.ndarray]:
+    """The per-block function of ``fk_mc_partition``: ``values(block)``
+    returns Y_k for the 512 paths k of ``block``.  Every step is row-wise
+    and runs on whole row groups (see ``_serial_matmul``), so Y_k depends
+    only on (seed, k), not on the blocks computed before it or on the
+    thread.  A polynomial's path moments S_p take one product each for
+    1 <= p <= deg; S_0, the same for every path, is computed once.  Build
+    and call it on one BLAS thread: ``fk_mc_partition`` holds
+    ``_one_blas_thread``'s non-reentrant lock around both, so the sampler
+    must not enter it."""
     lam = _thermal_lambda(beta, m, hbar)
     levy_t = np.ascontiguousarray(_levy_matrix(beta, m_slices, m, hbar).T)
     # trapezoid weights: endpoints (both w=0) carry half weight each
@@ -450,26 +433,20 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
     # glibc trims the thread's heap, and fault in anew.
     local = threading.local()
 
-    def arrays(rows: int) -> dict:
-        have = getattr(local, "arrays", None)
-        if have is None or len(have["z"]) < rows:
-            have = local.arrays = {
-                "z": np.empty((rows, m_slices - 1)),
-                "w": np.empty((rows, m_slices + 1)),
-                "wp": np.empty((rows, m_slices + 1)),
-                "action": np.empty((rows, 0 if gaussian else _Q_NODES)),
+    def values(block: int) -> np.ndarray:
+        a = getattr(local, "arrays", None)
+        if a is None:
+            a = local.arrays = {
+                "z": np.empty((_BLOCK_PATHS, m_slices - 1)),
+                "w": np.empty((_BLOCK_PATHS, m_slices + 1)),
+                "wp": np.empty((_BLOCK_PATHS, m_slices + 1)),
+                "action": np.empty((_BLOCK_PATHS, 0 if gaussian else _Q_NODES)),
             }
-        return {name: a[:rows] for name, a in have.items()}
-
-    def values(start: int, count: int) -> np.ndarray:
-        rows = _ceil4(count)
-        a = arrays(rows)
-        z = _path_normals(m_slices, seed, start, a["z"])
-        w = _serial_matmul(z, levy_t, a["w"])
+        w = _block_bridges(levy_t, seed, block, a["z"], a["w"])
         if coeffs is not None:
             # binomial trick: sum_j' v(q+w_j) dtau expands in path moments
             # S_p = sum_j' w_j^p dtau, giving per-path polynomials in q
-            s = np.empty((deg + 1, rows))
+            s = np.empty((deg + 1, _BLOCK_PATHS))
             s[0] = s0
             wp = w
             for p in range(1, deg + 1):
@@ -479,7 +456,7 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                 elif p > 2:
                     wp *= w
                 _serial_matmul(wp, tw, s[p])
-            qc = np.zeros((rows, deg + 1))  # action coefficients in q
+            qc = np.zeros((_BLOCK_PATHS, deg + 1))  # action coefficients in q
             for i, ci in enumerate(coeffs):
                 if ci == 0:
                     continue
@@ -487,8 +464,7 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                     qc[:, i - j] += ci * math.comb(i, j) * s[j]
             if gaussian:
                 a0, a1, a2 = qc.T
-                y = np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
-                return y[:count]
+                return np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
             action = _serial_matmul(qc, qpow, a["action"])
         else:
             action = a["action"]
@@ -502,7 +478,7 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
         np.exp(action, out=action)
         y = action.sum(axis=1)
         y *= np.exp(-shift) * scale
-        return y[:count]
+        return y
 
     return values
 
@@ -518,28 +494,30 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     path order), the stderr its sample deviation over sqrt(N).  On a
     quadratic well Y_k is the Gaussian integral in closed form, else a sum
     of float64 weights e^{-(A_k - min A_k)} on 161 q-nodes.
-    Paths run in blocks of 512, whose arrays stay in cache, in two tasks on
-    two threads (numpy's Gaussian sampler and array operations release the
-    GIL) and one BLAS thread: task t takes blocks t, t+2, ..., so a partial
-    last block does not unbalance them, and each block writes its own slice
-    of the values."""
+    Paths run in whole blocks of 512, whose arrays stay in cache, in two
+    tasks on two threads (numpy's Gaussian sampler and array operations
+    release the GIL) and one BLAS thread: task t takes blocks t, t+2, ...,
+    so a partial last block does not unbalance them, and each block writes
+    its own row of the values.  The rest of a partial last block is
+    computed and not used."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     if m_slices < 1:
         raise ValueError("m_slices must be at least 1")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    values = np.empty(n_paths)
+    n_blocks = -(-n_paths // _BLOCK_PATHS)
+    values = np.empty((n_blocks, _BLOCK_PATHS))
 
     def run(task: int) -> None:
-        for start in range(task * _BLOCK_PATHS, n_paths, 2 * _BLOCK_PATHS):
-            stop = min(start + _BLOCK_PATHS, n_paths)
-            values[start:stop] = block_values(start, stop - start)
+        for block in range(task, n_blocks, 2):
+            values[block] = block_values(block)
 
     # imported here: only the path sampler needs it
     from concurrent.futures import ThreadPoolExecutor
     with _one_blas_thread(), ThreadPoolExecutor(2) as pool:
         block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
         list(pool.map(run, range(2)))
+    values = values.reshape(-1)[:n_paths]
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_paths))
     return estimate, stderr

@@ -352,8 +352,11 @@ class TestStartup:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
     def test_spectral_reference_leaves_no_blas_worker_spinning(self):
-        # a threaded OpenBLAS call leaves its worker busy-waiting ~0.13 s
+        # a threaded OpenBLAS call leaves its worker busy-waiting ~0.13 s.
+        # So do the workers that start with ``import numpy``: the first
+        # sleep lets them settle, and the window sees only the call's
         probe = ("import time, qdesk\n"
+                 "time.sleep(0.3)\n"
                  "qdesk.spectral_partition(qdesk.Potential.polynomial((0, 0, 0.5)), 2.0)\n"
                  "start = time.process_time()\n"
                  "time.sleep(0.3)\n"
@@ -364,6 +367,7 @@ class TestStartup:
     def test_monte_carlo_leaves_no_blas_worker_spinning(self):
         probe = ("import time, qdesk\n"
                  "v = qdesk.Potential.polynomial((0, 0, 0, 0, 0.25))\n"
+                 "time.sleep(0.3)\n"
                  "qdesk.fk_mc_partition(v, 2.0)\n"
                  "start = time.process_time()\n"
                  "time.sleep(0.3)\n"

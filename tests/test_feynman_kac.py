@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 import qdesk.feynman_kac as fk
 import qdesk.operators as ops
 from qdesk.feynman_kac import (
-    BridgePath,
     Potential,
     _bisection_schedule,
+    _block_normals,
     _block_sampler,
     _levy_matrix,
-    _path_normals,
     _serial_matmul,
     bound_check,
     classical_partition,
@@ -203,9 +202,9 @@ class TestOneBlasThread:
         def spying_sampler(*args):
             values = _block_sampler(*args)
 
-            def spied(start, count):
+            def spied(block):
                 seen.append(blas())
-                return values(start, count)
+                return values(block)
 
             return spied
 
@@ -220,7 +219,7 @@ class TestOneBlasThread:
 
         def build_and_run():
             with ops._one_blas_thread():
-                done.append(_block_sampler(HARMONIC, 2.0, 1.0, 1.0, 64, seed=1)(0, 8))
+                done.append(_block_sampler(HARMONIC, 2.0, 1.0, 1.0, 64, seed=1)(0))
 
         worker = threading.Thread(target=build_and_run, daemon=True)
         worker.start()
@@ -242,6 +241,15 @@ class TestOneBlasThread:
     def test_reference_without_the_library(self, monkeypatch):
         monkeypatch.setattr(ops, "_openblas_threads", lambda: None)
         assert abs(spectral_partition(HARMONIC, 2.0) - SPECTRAL_HARMONIC) < 1e-10
+
+
+def block_values(v, beta, m, hbar, m_slices, seed, n_paths):
+    """Y_k of paths [0, n_paths) from one serial sampler's whole blocks, on
+    one BLAS thread as in fk_mc_partition."""
+    with ops._one_blas_thread():
+        values = _block_sampler(v, beta, m, hbar, m_slices, seed)
+        y = np.concatenate([values(block) for block in range(-(-n_paths // 512))])
+    return y[:n_paths]
 
 
 def harmonic_closed_form(beta, hbar, m):
@@ -385,6 +393,10 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             sample_bridge_ensemble(beta, 16, 10, m, hbar)
 
+    def test_sample_bridge_ensemble_rejects_negative_paths(self):
+        with pytest.raises(ValueError, match="n_paths must be nonnegative"):
+            sample_bridge_ensemble(2.0, 16, -1)
+
     @pytest.mark.parametrize("m,hbar,name", [(math.nan, 1.0, "m"),
                                              (1.0, math.inf, "hbar")])
     def test_gauss_transform_potential(self, m, hbar, name):
@@ -395,18 +407,20 @@ class TestParameterChecks:
 class TestBridges:
     def test_endpoints_pinned(self):
         b = sample_bridge(2.0, 64, seed=5)
-        assert b.slices[0] == 0.0 and b.slices[-1] == 0.0
-        assert len(b.slices) == 65
-        assert b.times()[-1] == 2.0
+        assert b.shape == (65,)
+        assert b[0] == 0.0 and b[-1] == 0.0
 
-    def test_path_addressing_deterministic(self):
-        # row k of an ensemble equals the path sampled on its own
-        for m_slices, n_paths, seed, rows in ((64, 50, 9, (0, 7, 49)),
-                                              (16, 41, 3, range(41))):
-            ens = sample_bridge_ensemble(2.0, m_slices, n_paths, seed=seed)
-            for k in rows:
-                single = sample_bridge(2.0, m_slices, seed=seed, path_index=k)
-                assert np.array_equal(ens[k], single.slices)
+    @pytest.mark.parametrize("m_slices, n_paths, seed, rows", [
+        (64, 50, 9, (0, 7, 49)), (16, 41, 3, range(41)),
+        (64, 1_600, 9, (0, 511, 512, 700, 1_023, 1_599))])
+    def test_path_addressing_deterministic(self, m_slices, n_paths, seed, rows):
+        # row k of an ensemble equals the path sampled on its own, on either
+        # side of a block boundary
+        ens = sample_bridge_ensemble(2.0, m_slices, n_paths, seed=seed)
+        assert ens.shape == (n_paths, m_slices + 1)
+        for k in rows:
+            single = sample_bridge(2.0, m_slices, seed=seed, path_index=k)
+            assert np.array_equal(ens[k], single)
 
     def test_midpoint_covariance(self):
         # var w(beta/2) = (hbar^2/m)(beta/4)
@@ -430,8 +444,8 @@ class TestBridges:
         # reference: the Lévy midpoint construction run column by column on
         # the same normals; the matrix product sums in another order
         beta, m_slices, mass, hbar = 2.0, 64, 0.5, 2.0
-        raw = np.empty((300, m_slices - 1))
-        normals = _path_normals(m_slices, 4, 0, raw)[:300]
+        raw = np.empty((512, m_slices - 1))
+        normals = _block_normals(m_slices, 4, 0, raw)[:300]
         dtau = beta / m_slices
         ref = np.zeros((300, m_slices + 1))
         for col, (left, mid, right) in enumerate(_bisection_schedule(m_slices)):
@@ -443,25 +457,21 @@ class TestBridges:
         assert np.max(np.abs(ens - ref)) < 1e-12
 
     @pytest.mark.parametrize("k", [0, 5, 511, 512, 1023, 1500])
-    def test_path_normals_follow_the_philox_block_streams(self, k):
+    def test_block_normals_follow_the_philox_block_streams(self, k):
         # oracle: path k is row k % 512 of the Gaussian stream of Philox
-        # from counter [0, 0, 0, k // 512], over any range that holds it
+        # from counter [0, 0, 0, k // 512], drawn row by row
         seed, m_slices = 9, 64
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k // 512]))
         expected = gen.standard_normal((k % 512 + 1, m_slices - 1))[-1]
-        for start, count in [(k, 1), (max(k - 3, 0), 8), (0, k + 1)]:
-            out = np.empty((count, m_slices - 1))
-            normals = _path_normals(m_slices, seed, start, out)
-            assert np.array_equal(normals[k - start], expected)
-
-    def test_bridge_rejects_unpinned(self):
-        with pytest.raises(ValueError):
-            BridgePath(1.0, np.array([0.0, 0.5, 0.1]))
+        out = np.empty((512, m_slices - 1))
+        normals = _block_normals(m_slices, seed, k // 512, out)
+        assert normals is out
+        assert np.array_equal(normals[k % 512], expected)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
     def test_bridge_rejects_non_finite_beta(self, beta):
         with pytest.raises(ValueError, match="beta must be finite and positive"):
-            BridgePath(beta, np.zeros(5))
+            sample_bridge(beta, 4)
 
 
 class TestMonteCarlo:
@@ -497,23 +507,31 @@ class TestMonteCarlo:
         HARMONIC, QUARTIC,
         Potential.from_callable(lambda q: 0.5 * q ** 2)])
     def test_path_value_independent_of_surrounding_paths(self, v):
-        # a path's value is a function of (seed, path index) alone, whatever
-        # block it is computed in and however many paths share the block
-        values = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=5)
-        first, second = values(0, 1_000), values(500, 1_000)
-        assert np.array_equal(first[500:], second[:500])
-        assert np.array_equal(first[3:8], values(3, 5))
-        assert np.array_equal(first[7:8], values(7, 1))
+        # a block's values are a function of (seed, block) alone: the same
+        # bits computed first, after other blocks, or on another thread
+        with ops._one_blas_thread():
+            values = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=5)
+            first = values(1)
+            for block in (0, 3, 2):
+                values(block)
+            again = values(1)
+            other = []
+            worker = threading.Thread(target=lambda: other.append(values(1)))
+            worker.start()
+            worker.join()
+        assert first.shape == (512,)
+        assert np.array_equal(first, again) and np.array_equal(first, other[0])
 
     @pytest.mark.parametrize("v", [
         HARMONIC, QUARTIC,
         Potential.from_callable(lambda q: 0.5 * q ** 2)])
-    @pytest.mark.parametrize("n_paths", [2, 513, 1_500, 5_003])
+    @pytest.mark.parametrize("n_paths", [2, 511, 512, 513, 1_500, 5_003])
     def test_estimate_is_mean_of_path_values(self, v, n_paths):
-        # one block, an odd block count, and a partial last block: the two
-        # threads' interleaved blocks give the values of one serial call
+        # one block, whole and partial, an odd block count, and a partial
+        # last block: the two threads' interleaved blocks give the values
+        # of one serial sampler's whole blocks
         est, stderr = fk_mc_partition(v, 2.0, n_paths=n_paths, seed=6)
-        y = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=6)(0, n_paths)
+        y = block_values(v, 2.0, 1.0, 1.0, 64, 6, n_paths)
         assert est == float(np.mean(y))
         assert stderr == float(np.std(y, ddof=1) / math.sqrt(n_paths))
 
@@ -521,7 +539,7 @@ class TestMonteCarlo:
         # blocks run on two threads; with the interpreter switching threads
         # every microsecond the estimate must still equal the one from a
         # single block computed on this thread
-        y = _block_sampler(HARMONIC, 2.0, 1.0, 1.0, 64, seed=12)(0, 5_000)
+        y = block_values(HARMONIC, 2.0, 1.0, 1.0, 64, 12, 5_000)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -566,28 +584,27 @@ class TestQuadraticClosedForm:
     def test_harmonic_matches_callable_grid(self, beta, hbar, m):
         # the closed form and the float64 grid sum agree path by path
         twin = Potential.from_callable(lambda q: 0.5 * q ** 2)
-        y = _block_sampler(HARMONIC, beta, m, hbar, 64, seed=3)(0, 1_000)
-        grid = _block_sampler(twin, beta, m, hbar, 64, seed=3)(0, 1_000)
+        y = block_values(HARMONIC, beta, m, hbar, 64, 3, 1_000)
+        grid = block_values(twin, beta, m, hbar, 64, 3, 1_000)
         np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
 
     def test_shifted_well_matches_callable_grid(self):
         v = Potential.polynomial((0.3, -0.4, 0.7))
         twin = Potential.from_callable(lambda q: 0.3 - 0.4 * q + 0.7 * q ** 2)
-        y = _block_sampler(v, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
-        grid = _block_sampler(twin, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        y = block_values(v, 2.0, 1.0, 1.0, 64, 3, 1_000)
+        grid = block_values(twin, 2.0, 1.0, 1.0, 64, 3, 1_000)
         np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
 
     def test_quartic_matches_callable_grid(self):
         twin = Potential.from_callable(lambda q: 0.25 * q ** 4)
-        y = _block_sampler(QUARTIC, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
-        grid = _block_sampler(twin, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
+        y = block_values(QUARTIC, 2.0, 1.0, 1.0, 64, 3, 1_000)
+        grid = block_values(twin, 2.0, 1.0, 1.0, 64, 3, 1_000)
         np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
 
     def test_trailing_zero_coefficients_take_the_closed_form(self):
         padded = Potential.polynomial((0.0, 0.0, 0.5, 0.0, 0.0))
-        y = _block_sampler(padded, 2.0, 1.0, 1.0, 64, seed=3)(0, 1_000)
-        assert np.array_equal(y, _block_sampler(HARMONIC, 2.0, 1.0, 1.0, 64,
-                                                seed=3)(0, 1_000))
+        y = block_values(padded, 2.0, 1.0, 1.0, 64, 3, 1_000)
+        assert np.array_equal(y, block_values(HARMONIC, 2.0, 1.0, 1.0, 64, 3, 1_000))
 
     @pytest.mark.parametrize("coeffs", [
         (0.0, 0.0, 0.5), (0.0, 0.0, 0.5, 0.0, 0.0), (0.3, -0.4, 0.7)])
@@ -597,7 +614,7 @@ class TestQuadraticClosedForm:
         # at beta = 200 most values underflow to 0 and the rest reach
         # e^{-700}: compare where each is zero, then the exponents
         v = Potential.polynomial(coeffs)
-        y = _block_sampler(v, beta, 1.0, 1.0, m_slices, seed=7)(0, 2_000)
+        y = block_values(v, beta, 1.0, 1.0, m_slices, 7, 2_000)
         want = _gaussian_path_values(coeffs[:3], beta, 1.0, 1.0, m_slices,
                                      2_000, 7)
         assert np.array_equal(y == 0, want == 0)
