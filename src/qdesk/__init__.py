@@ -10,6 +10,7 @@ function; the module is ``importlib.import_module("qdesk.moments")``."""
 from .operators import *  # noqa: F401,F403
 from .moments import *  # noqa: F401,F403 - rebinds ``moments`` to the function
 from .phasespace import *  # noqa: F401,F403
+from .partition import *  # noqa: F401,F403
 from .feynman_kac import *  # noqa: F401,F403
 from .spin import *  # noqa: F401,F403
 from .bell import *  # noqa: F401,F403

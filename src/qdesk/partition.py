@@ -1,0 +1,352 @@
+"""Deterministic references for tr e^{-beta H} with H = P^2/(2m) + v(Q).
+
+Replacing v in the Feynman-Kac trace formula by its Gauss transform v_tau
+and dropping the path integral yields the sandwich
+    z(beta, beta) <= tr e^{-beta H} <= z(beta, 0),
+where z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)} and
+lambda = sqrt(2 pi beta hbar^2 / m).  z is strictly decreasing in tau for
+non-constant smooth potentials, so a unique tau*(beta) in (0, beta]
+reproduces the exact trace.  The spectral reference sums e^{-beta E_k} over
+the eigenvalues of the Fourier-grid Hamiltonian.  The Monte Carlo estimate
+of the trace is in ``feynman_kac``.
+
+Only confining, continuous potentials are supported; the general validity
+conditions of the trace formula are out of scope.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from .operators import _one_blas_thread, _require_positive
+from .phasespace import GridSpec, grid_hamiltonian
+
+__all__ = [
+    "Potential", "gauss_transform_potential", "classical_partition",
+    "spectral_partition", "tau_star", "monotonicity_check",
+]
+
+_EXP_FLOOR = 720.0  # beta*v beyond this puts e^{-beta v} under 1e-300
+
+
+@dataclass(frozen=True)
+class Potential:
+    """Potential energy profile on the whole real line: polynomial
+    (ascending coefficients) or vectorized callable."""
+
+    coeffs: tuple | None = None
+    fn: Callable | None = None
+
+    def __post_init__(self):
+        if (self.coeffs is None) == (self.fn is None):
+            raise ValueError("exactly one of coeffs, fn must be given")
+        if self.coeffs is not None:
+            object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+
+    @classmethod
+    def polynomial(cls, coeffs) -> "Potential":
+        return cls(coeffs=tuple(coeffs))
+
+    @classmethod
+    def from_callable(cls, fn) -> "Potential":
+        return cls(fn=fn)
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        if self.coeffs is not None:
+            return npoly.polyval(q, self.coeffs)
+        out = np.asarray(self.fn(q), dtype=float)
+        if out.shape != q.shape:
+            raise ValueError("potential callable must be vectorized")
+        return out
+
+    def derivative(self) -> Callable:
+        if self.coeffs is not None:
+            d = npoly.polyder(self.coeffs)
+            return lambda q: npoly.polyval(np.asarray(q, dtype=float), d)
+        h = 1e-5
+
+        def central(q):
+            q = np.asarray(q, dtype=float)
+            up, down = q + h, q - h
+            return (self(up) - self(down)) / (up - down)
+
+        return central
+
+
+def gauss_transform_potential(v: Potential, tau: float, m: float,
+                              hbar: float = 1.0) -> Potential:
+    """Heat-semigroup smoothing v_tau = exp((tau hbar^2/24m) d^2/dq^2) v,
+    i.e. E[v(q + xi sqrt(s))] with xi standard normal and
+    s = tau hbar^2 / (12 m)."""
+    _require_positive(m=m, hbar=hbar)
+    if not 0 <= tau < math.inf:  # also rejects NaN
+        raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
+    if tau == 0:
+        return v
+    s = tau * hbar ** 2 / (12 * m)
+    if v.coeffs is not None:
+        c = v.coeffs
+        out = [0.0] * len(c)
+        for i, ci in enumerate(c):
+            if ci == 0:
+                continue
+            for j in range(0, i + 1, 2):
+                mom = math.prod(range(j - 1, 0, -2))  # E[xi^j] = (j-1)!!
+                out[i - j] += ci * math.comb(i, j) * mom * s ** (j / 2)
+        return Potential(coeffs=tuple(out))
+    nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+    root_s = math.sqrt(s)
+    norm = weights.sum()
+
+    def smoothed(q):
+        q = np.asarray(q, dtype=float)
+        vals = v(q[..., None] + root_s * nodes)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("potential grows too fast for the quadrature")
+        return (vals * weights).sum(axis=-1) / norm
+
+    return Potential(fn=smoothed)
+
+
+def _decay_radius(v: Potential, beta: float, floor: float = _EXP_FLOOR,
+                  bisect: bool = False) -> float:
+    """Radius beyond which e^{-beta v} drops under e^{-floor} of its value
+    at q = 0: the first power of two past it or, with ``bisect``, the
+    crossing inside [r/2, r] to 0.1%.  Measured from v(0), the radius does
+    not move when a constant is added to v."""
+    v0 = float(v(0.0))
+
+    def decayed(r: float) -> bool:
+        return beta * (min(float(v(r)), float(v(-r))) - v0) > floor
+
+    r = 1.0
+    while not decayed(r):
+        r *= 2
+        if r >= 2.0 ** 40:
+            raise ValueError("divergent integral: e^{-beta v} does not decay")
+    lo = r / 2
+    while bisect and r - lo > 1e-3 * r:
+        mid = (lo + r) / 2
+        if decayed(mid):
+            r = mid
+        else:
+            lo = mid
+    return r
+
+
+def _thermal_lambda(beta: float, m: float, hbar: float) -> float:
+    return math.sqrt(2 * math.pi * beta * hbar ** 2 / m)
+
+
+def _boltzmann_integrand(vt: Potential,
+                         beta: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """8193 q-nodes out to where e^{-beta v_tau} has fallen e^{-720} below
+    its value at q = 0, e^{-(beta v_tau - shift)} on them floored at
+    e^{-720}, and the shift, for the caller to scale by e^{-shift}.  The
+    shift is 0 unless min beta v_tau passes 720; then it is that minimum,
+    so that the integrand peaks at 1 instead of sinking to the floor.
+    ValueError where min beta v_tau is under -720: the integral overflows."""
+    r = _decay_radius(vt, beta)
+    q = np.linspace(-r, r, 8193)
+    exponent = beta * vt(q)
+    low = float(exponent.min())
+    if low < -_EXP_FLOOR:
+        raise ValueError(f"z(beta, tau) is outside the float range: "
+                         f"min beta v_tau = {low:.4g}")
+    shift = low if low > _EXP_FLOOR else 0.0
+    return q, np.exp(-np.minimum(exponent - shift, _EXP_FLOOR)), shift
+
+
+def classical_partition(v: Potential, beta: float, tau: float, m: float,
+                        hbar: float = 1.0) -> float:
+    """(Pseudo-)classical partition function
+    z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)}; 0 or subnormal
+    where it is under the normal float range."""
+    _require_positive(beta=beta, m=m, hbar=hbar)
+    vt = gauss_transform_potential(v, tau, m, hbar)
+    q, integrand, shift = _boltzmann_integrand(vt, beta)
+    z = np.trapezoid(integrand, q) / _thermal_lambda(beta, m, hbar)
+    return float(z * math.exp(-shift))
+
+
+# The spectral reference's grid: a Boltzmann factor of e^{-27.7} < 1e-12
+# at the box edge and at the momentum cutoff, the three lowest eigenstates
+# under 1e-10 of their peaks at the position and momentum edges, successive
+# doublings of n agreeing to 1e-10 relative, and at most 4096 points.
+_CUTOFF_EXPONENT = 27.7
+_EDGE_TOL = 1e-10
+_SPECTRAL_RTOL = 1e-10
+_SPECTRAL_MAX_N = 4096
+
+
+class _GridSum(float):
+    """A Boltzmann sum that carries the grid it was taken on as ``grid``."""
+
+    grid: GridSpec
+
+    def __new__(cls, value: float, grid: GridSpec):
+        out = super().__new__(cls, value)
+        out.grid = grid
+        return out
+
+
+def _cutoff_exponent(spec: GridSpec, beta: float, m: float) -> float:
+    """beta p^2/2m at the grid's momentum cutoff p = pi hbar/dq."""
+    return beta * (math.pi * spec.hbar / spec.dq) ** 2 / (2 * m)
+
+
+def _first_grid(length: float, beta: float, m: float, hbar: float) -> GridSpec:
+    """The box's grid with the fewest points, a power of two >= 64, whose
+    cutoff exponent reaches _CUTOFF_EXPONENT; ValueError past the budget,
+    before anything is diagonalized."""
+    n = 64
+    while _cutoff_exponent(GridSpec(n, length, hbar), beta, m) < _CUTOFF_EXPONENT:
+        n *= 2
+        _check_budget(n)
+    return GridSpec(n, length, hbar)
+
+
+def _check_budget(n: int) -> None:
+    if n > _SPECTRAL_MAX_N:
+        raise ValueError(f"unconverged grid: the spectral reference needs more "
+                         f"than its budget of n = {_SPECTRAL_MAX_N} points")
+
+
+def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
+                   edges: bool) -> tuple[float, float, float]:
+    """sum_k e^{-beta E_k} over the eigenvalues of the grid Hamiltonian and,
+    with ``edges``, the largest amplitude of the three lowest eigenstates at
+    the position edges and at the momentum edges |p| = pi hbar/dq, each over
+    its peak (0 without; only then are eigenvectors computed)."""
+    h = grid_hamiltonian(spec, m, v)
+    q_edge = p_edge = 0.0
+    with _one_blas_thread():
+        vals, vecs = np.linalg.eigh(h) if edges else (np.linalg.eigvalsh(h), None)
+    if edges:
+        low = np.abs(vecs[:, :3])
+        low_hat = np.abs(np.fft.fft(vecs[:, :3], axis=0))
+        n = spec.n
+        q_edge = float((low[[0, -1]].max(axis=0) / low.max(axis=0)).max())
+        p_edge = float((low_hat[[n // 2 - 1, n // 2]].max(axis=0)
+                        / low_hat.max(axis=0)).max())
+    if abs(beta * vals[0]) > _EXP_FLOOR:
+        raise ValueError(f"tr e^{{-beta H}} is outside the float range: "
+                         f"beta E_0 = {beta * vals[0]:.4g}")
+    return float(np.exp(-beta * vals).sum()), q_edge, p_edge
+
+
+def spectral_partition(v: Potential, beta: float, m: float = 1.0,
+                       hbar: float = 1.0) -> float:
+    """Independent reference: the sum of e^{-beta E_k} over the eigenvalues
+    of the Fourier-grid Hamiltonian, as a float whose ``grid`` attribute is
+    the GridSpec it was summed on.
+
+    The grid follows from beta, hbar and m.  The box [-r, r] ends where
+    beta (v - v(0)) first reaches 27.7, and n is the smallest power of two
+    >= 64 whose momentum cutoff p = pi hbar/dq has beta p^2/2m >= 27.7.
+    While one of the three lowest eigenstates exceeds 1e-10 of its peak at
+    the position or momentum edge, the box doubles (n starting again) if
+    the position edge is the worse, else n doubles.  Then n doubles over
+    the box until two successive sums agree within 1e-10 relative, and the
+    finer sum is returned.  A grid past n = 4096 raises ValueError."""
+    _require_positive(beta=beta, m=m, hbar=hbar)
+    length = 2 * _decay_radius(v, beta, _CUTOFF_EXPONENT, bisect=True)
+    spec = _first_grid(length, beta, m, hbar)
+    while True:
+        total, q_edge, p_edge = _boltzmann_sum(v, beta, spec, m, edges=True)
+        if max(q_edge, p_edge) <= _EDGE_TOL:
+            break
+        # the worse edge names the fault: a box too small leaves the states
+        # a kink at its periodic edge, which also shows in momentum, and a
+        # grid too coarse leaves aliasing noise at the position edge
+        if p_edge >= q_edge:
+            _check_budget(2 * spec.n)
+            spec = GridSpec(2 * spec.n, spec.length, hbar)
+        else:
+            spec = _first_grid(2 * spec.length, beta, m, hbar)
+    while True:
+        _check_budget(2 * spec.n)
+        finer = GridSpec(2 * spec.n, spec.length, hbar)
+        finer_total, _, _ = _boltzmann_sum(v, beta, finer, m, edges=False)
+        if abs(finer_total - total) <= _SPECTRAL_RTOL * finer_total:
+            return _GridSum(finer_total, finer)
+        spec, total = finer, finer_total
+
+
+def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
+             z_target: float) -> float:
+    """Unique tau in (0, beta] with |z(beta, tau) - z_target| <= 1e-8
+    z_target on the strictly decreasing tau -> z(beta, tau), by Illinois
+    false position on [0, beta] (Dowell & Jarratt, BIT 11, 168 (1971)): an
+    end kept by two steps in a row has its value halved, and a step not
+    strictly inside the bracket takes the midpoint.  RuntimeError after
+    200 steps."""
+    z0 = classical_partition(v, beta, 0.0, m, hbar)
+    zb = classical_partition(v, beta, beta, m, hbar)
+    if not (zb - 1e-12 <= z_target < z0):
+        raise ValueError("target outside the bracket [z(beta,beta), z(beta,0))")
+    tol = 1e-8 * z_target
+    if abs(z_target - zb) <= tol:
+        return beta
+    lo, hi = 0.0, beta
+    f_lo, f_hi = z0 - z_target, zb - z_target  # f_lo > 0 > f_hi
+    kept = None  # the end that the last step kept
+    for _ in range(200):
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = (lo + hi) / 2
+        f = classical_partition(v, beta, t, m, hbar) - z_target
+        if abs(f) <= tol:
+            return t
+        if f > 0:
+            lo, f_lo = t, f
+            if kept == "hi":
+                f_hi /= 2
+            kept = "hi"
+        else:
+            hi, f_hi = t, f
+            if kept == "lo":
+                f_lo /= 2
+            kept = "lo"
+    raise RuntimeError(f"tau_star did not converge: z(beta, {t!r}) misses "
+                       f"the target by {abs(f) / z_target:.3g} relative")
+
+
+def monotonicity_check(v: Potential, beta: float, m: float = 1.0,
+                       hbar: float = 1.0, tau_grid=None) -> dict:
+    """z(beta, .) along tau_grid, strict-decrease flags, and the derivative
+    identity dz/dtau = -(beta lambda / 48 pi) int dq e^{-beta v_tau} (v_tau')^2
+    checked against a central difference at interior points."""
+    if tau_grid is None:
+        tau_grid = [0.0, beta / 4, beta / 2, 3 * beta / 4, beta]
+    tau_grid = [float(t) for t in tau_grid]
+    z = [classical_partition(v, beta, t, m, hbar) for t in tau_grid]
+    decreasing = all(z[i] > z[i + 1] for i in range(len(z) - 1))
+
+    lam = _thermal_lambda(beta, m, hbar)
+    derivative_errors = []
+    for t in tau_grid:
+        if t <= 0 or t >= beta:
+            continue
+        vt = gauss_transform_potential(v, t, m, hbar)
+        q, boltzmann, shift = _boltzmann_integrand(vt, beta)
+        integrand = boltzmann * np.asarray(vt.derivative()(q)) ** 2
+        formula = -(beta * lam / (48 * math.pi)) * float(np.trapezoid(integrand, q))
+        formula *= math.exp(-shift)
+        h = 1e-3 * beta
+        numeric = (classical_partition(v, beta, t + h, m, hbar)
+                   - classical_partition(v, beta, t - h, m, hbar)) / (2 * h)
+        scale = max(abs(formula), abs(numeric), 1e-30)
+        derivative_errors.append(abs(formula - numeric) / scale)
+    return {
+        "tau_grid": tau_grid,
+        "z_values": z,
+        "strictly_decreasing": decreasing,
+        "derivative_relative_errors": derivative_errors,
+    }

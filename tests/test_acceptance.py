@@ -12,6 +12,7 @@ import numpy as np
 
 bl = importlib.import_module("qdesk.bell")
 fk = importlib.import_module("qdesk.feynman_kac")
+pt = importlib.import_module("qdesk.partition")
 qmom = importlib.import_module("qdesk.moments")
 qop = importlib.import_module("qdesk.operators")
 ps = importlib.import_module("qdesk.phasespace")
@@ -106,12 +107,12 @@ def test_criterion_04_feynman_kac_sandwich_and_mc():
 
 def test_criterion_05_monotonicity_and_tau_star():
     t0 = time.perf_counter()
-    harmonic = fk.Potential.polynomial([0.0, 0.0, 0.5])
-    quartic = fk.Potential.polynomial([0.0, 0.0, 0.0, 0.0, 0.25])
-    mono_h = fk.monotonicity_check(harmonic, 2.0)["strictly_decreasing"]
-    mono_q = fk.monotonicity_check(quartic, 2.0)["strictly_decreasing"]
+    harmonic = pt.Potential.polynomial([0.0, 0.0, 0.5])
+    quartic = pt.Potential.polynomial([0.0, 0.0, 0.0, 0.0, 0.25])
+    mono_h = pt.monotonicity_check(harmonic, 2.0)["strictly_decreasing"]
+    mono_q = pt.monotonicity_check(quartic, 2.0)["strictly_decreasing"]
     z_spec = 1.0 / (2 * math.sinh(1.0))
-    ts = fk.tau_star(harmonic, 2.0, z_target=z_spec)
+    ts = pt.tau_star(harmonic, 2.0, z_target=z_spec)
     ts_err = abs(ts - 12.0 * math.log(math.sinh(1.0)))
     elapsed = time.perf_counter() - t0
     ok = mono_h and mono_q and ts_err < 1e-6

@@ -108,6 +108,16 @@ class TestScenarios:
         assert abs(payload["results"]["spectral_reference"] - exact) <= 1e-10 * exact
         assert payload["results"]["spectral_grid"]["n"] <= 4096
 
+    @pytest.mark.parametrize("potential, hbar", [
+        ("20,0,0,0,0.25", "0.1"), ("300,0,0.5", "1"), ("300,0,0,0,0.25", "1")])
+    def test_fk_passes_on_an_offset_well(self, capsys, potential, hbar):
+        # the Monte Carlo box is measured from v(0), and the stderr of
+        # values near 1e-261 does not underflow to 0
+        code, out = run_cli(capsys, "--scenario", "fk", "--potential", potential,
+                            "--hbar", hbar)
+        assert code == 0
+        assert json.loads(out)["results"]["mc_stderr"] > 0
+
     def test_fk_bounds(self, capsys):
         code, out = run_cli(capsys, "--scenario", "fk", "--paths", "2000")
         payload = json.loads(out)

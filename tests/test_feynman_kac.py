@@ -1,9 +1,9 @@
 """Tests for the path-integral partition-function bounds and MC estimator."""
 
 import math
-import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -12,20 +12,24 @@ from hypothesis import strategies as st
 
 import qdesk.feynman_kac as fk
 import qdesk.operators as ops
+import qdesk.partition as pt
 from qdesk.feynman_kac import (
-    Potential,
     _bisection_schedule,
     _block_normals,
     _block_sampler,
     _levy_matrix,
     _serial_matmul,
     bound_check,
-    classical_partition,
     fk_mc_partition,
-    gauss_transform_potential,
-    monotonicity_check,
     sample_bridge,
     sample_bridge_ensemble,
+)
+from qdesk.partition import (
+    Potential,
+    _boltzmann_sum,
+    classical_partition,
+    gauss_transform_potential,
+    monotonicity_check,
     spectral_partition,
     tau_star,
 )
@@ -108,6 +112,53 @@ class TestClassicalPartition:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             classical_partition(HARMONIC, beta, 0.0, m, hbar)
 
+    def test_value_under_the_normal_range(self):
+        # z = e^{-beta c}/beta for c + q^2/2: subnormal at c = 361, not the
+        # e^{-720} floor times the box; under the float range at c = 1000
+        z = classical_partition(Potential.polynomial((361.0, 0.0, 0.5)), 2.0, 0.0, 1.0)
+        assert abs(z - math.exp(-722.0) / 2) <= 1e-6 * math.exp(-722.0) / 2
+        assert classical_partition(Potential.polynomial((1000.0, 0.0, 0.5)),
+                                   2.0, 0.0, 1.0) == 0.0
+
+    def test_overflow_raises(self):
+        # e^{2000}/2 has no float value: an error, not inf with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the float range"):
+                classical_partition(Potential.polynomial((-1000.0, 0.0, 0.5)),
+                                    2.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("c", [0.0, 400.0])
+    def test_constant_potential_diverges(self, c):
+        # e^{-beta c} int dq is infinite at any level c
+        v = Potential.polynomial((c,))
+        for run in (lambda: classical_partition(v, 2.0, 0.0, 1.0),
+                    lambda: monotonicity_check(v, 2.0),
+                    lambda: bound_check(v, 2.0, n_paths=100)):
+            with pytest.raises(ValueError, match="divergent"):
+                run()
+
+
+class TestConstantOffset:
+    """Adding c to v scales every estimate by e^{-beta c}: the boxes and
+    grids are measured from v(0), not from v = 0."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.1])
+    @pytest.mark.parametrize("c", [-20.0, 20.0, 300.0])
+    def test_offset_scales_every_estimate(self, c, hbar):
+        shifted = Potential.polynomial((c,) + QUARTIC.coeffs[1:])
+        scale = math.exp(2.0 * c)
+        z0, z = (spectral_partition(v, 2.0, hbar=hbar) for v in (QUARTIC, shifted))
+        assert z.grid == z0.grid
+        assert abs(z * scale / z0 - 1) <= 1e-11
+        for tau in (0.0, 1.0, 2.0):
+            a, b = (classical_partition(v, 2.0, tau, 1.0, hbar) for v in (QUARTIC, shifted))
+            assert abs(b * scale / a - 1) <= 1e-12
+        (e0, s0), (e, s) = (fk_mc_partition(v, 2.0, hbar=hbar, n_paths=2_000, seed=1)
+                            for v in (QUARTIC, shifted))
+        assert abs(e * scale / e0 - 1) <= 1e-12
+        assert abs(s * scale / s0 - 1) <= 1e-12
+
 
 class TestSpectralReference:
     def test_harmonic_value(self):
@@ -124,39 +175,11 @@ class TestSpectralReference:
         rep = bound_check(HARMONIC, 2.0, m=mass, hbar=hbar, n_paths=2_000)
         assert abs(rep.spectral_reference - exact) < 1e-10 * exact
 
-    def test_spectral_partition_rejects_spec_in_other_units(self):
-        # the grid's hbar sets its momentum axis, so another hbar would be
-        # silently ignored
-        with pytest.raises(ValueError, match="hbar"):
-            spectral_partition(HARMONIC, 2.0, GridSpec(n=512, length=32.0, hbar=1.0),
-                               hbar=0.5)
-
     def test_sandwich(self):
         z = spectral_partition(HARMONIC, 2.0)
         lo = classical_partition(HARMONIC, 2.0, 2.0, 1.0)
         hi = classical_partition(HARMONIC, 2.0, 0.0, 1.0)
         assert lo <= z <= hi
-
-    def test_given_spec_is_used_as_is(self):
-        spec = GridSpec(n=512, length=32.0, hbar=1.0)
-        z = spectral_partition(HARMONIC, 2.0, spec)
-        assert z.grid is spec
-        assert abs(z - SPECTRAL_HARMONIC) < 1e-10
-
-    def test_given_spec_below_momentum_cutoff_raises(self):
-        # beta (pi hbar/dq)^2/2m = 2 (pi n/32)^2/2 is 9.87 at n = 32
-        with pytest.raises(ValueError, match="momentum cutoff exponent 9.87"):
-            spectral_partition(HARMONIC, 2.0, GridSpec(n=32, length=32.0))
-
-    @pytest.mark.parametrize("n,length,edge", [
-        (64, 8.0, 0),  # the box [-4, 4] cuts the low states off (position
-        (64, 32.0, 1)])  # edge), or their momenta pass p = pi hbar/dq = 6.28
-    def test_given_spec_with_low_states_at_its_edge_raises(self, n, length, edge):
-        with pytest.raises(ValueError, match="low eigenstates reach the edge") as err:
-            spectral_partition(HARMONIC, 2.0, GridSpec(n=n, length=length))
-        amplitudes = [float(a) for a in re.findall(
-            r"(?:position|momentum) ([0-9.e+-]+)", str(err.value))]
-        assert amplitudes[edge] > max(1e-10, amplitudes[1 - edge])
 
     def test_bound_check_reports_the_grid(self):
         rep = bound_check(HARMONIC, 2.0, hbar=0.5, n_paths=2_000)
@@ -281,7 +304,8 @@ class TestSpectralGrid:
         # enough in n to need a second doubling after the edge tests pass
         v = Potential.from_callable(lambda q: np.abs(q) ** 5)
         z = spectral_partition(v, 2.0)
-        half, quarter = (spectral_partition(v, 2.0, GridSpec(z.grid.n // k, z.grid.length))
+        half, quarter = (_boltzmann_sum(v, 2.0, GridSpec(z.grid.n // k, z.grid.length),
+                                        1.0, edges=False)[0]
                          for k in (2, 4))
         assert abs(z - half) <= 1e-10 * z < abs(half - quarter)
 
@@ -294,7 +318,7 @@ class TestSpectralGrid:
         def no_hamiltonian(*args):
             raise AssertionError("a Hamiltonian was built")
 
-        monkeypatch.setattr(fk, "grid_hamiltonian", no_hamiltonian)
+        monkeypatch.setattr(pt, "grid_hamiltonian", no_hamiltonian)
         beta, hbar, m = OVER_BUDGET
         with pytest.raises(ValueError, match="budget of n = 4096"):
             spectral_partition(HARMONIC, beta, m=m, hbar=hbar)
@@ -396,6 +420,11 @@ class TestParameterChecks:
     def test_sample_bridge_ensemble_rejects_negative_paths(self):
         with pytest.raises(ValueError, match="n_paths must be nonnegative"):
             sample_bridge_ensemble(2.0, 16, -1)
+
+    def test_sample_bridge_rejects_negative_path_index(self):
+        # path -1 would be row 511 of block -1
+        with pytest.raises(ValueError, match="path_index must be nonnegative"):
+            sample_bridge(2.0, 8, path_index=-1)
 
     @pytest.mark.parametrize("m,hbar,name", [(math.nan, 1.0, "m"),
                                              (1.0, math.inf, "hbar")])
@@ -534,6 +563,20 @@ class TestMonteCarlo:
         y = block_values(v, 2.0, 1.0, 1.0, 64, 6, n_paths)
         assert est == float(np.mean(y))
         assert stderr == float(np.std(y, ddof=1) / math.sqrt(n_paths))
+
+    def test_stderr_of_values_under_the_float_range_of_squares(self, monkeypatch):
+        # values near 2^-1000 have squared deviations under 1e-600; scaled
+        # by a power of two, estimate and stderr scale exactly
+        plain = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=4)
+
+        def scaled_sampler(*args):
+            values = _block_sampler(*args)
+            return lambda block: np.ldexp(values(block), -1000)
+
+        monkeypatch.setattr(fk, "_block_sampler", scaled_sampler)
+        est, stderr = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=4)
+        assert stderr > 0
+        assert (est, stderr) == tuple(math.ldexp(x, -1000) for x in plain)
 
     def test_threads_give_same_bits_under_fast_switching(self):
         # blocks run on two threads; with the interpreter switching threads
@@ -675,7 +718,7 @@ class TestBoundsAndTauStar:
             calls.append(args)
             return classical_partition(*args)
 
-        monkeypatch.setattr(fk, "classical_partition", counting)
+        monkeypatch.setattr(pt, "classical_partition", counting)
         ts = tau_star(v, 2.0, m, hbar, z_target=target)
         assert len(calls) <= 10
         assert abs(classical_partition(v, 2.0, ts, m, hbar) - target) \
@@ -693,14 +736,14 @@ class TestBoundsAndTauStar:
             calls.append(tau)
             return z(tau)
 
-        monkeypatch.setattr(fk, "classical_partition", fake)
+        monkeypatch.setattr(pt, "classical_partition", fake)
         ts = tau_star(HARMONIC, 2.0, z_target=2.0)
         assert abs(z(ts) - 2.0) <= 2e-8
         assert len(calls) <= 10
 
     def test_tau_star_raises_when_unconverged(self, monkeypatch):
         # a z(beta, tau) that steps across the target never meets it
-        monkeypatch.setattr(fk, "classical_partition",
+        monkeypatch.setattr(pt, "classical_partition",
                             lambda v, beta, tau, m, hbar: 2.0 if tau < 0.7 else 1.0)
         with pytest.raises(RuntimeError, match="did not converge"):
             tau_star(HARMONIC, 2.0, z_target=1.5)

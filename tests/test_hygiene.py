@@ -11,7 +11,8 @@ import pytest
 
 import qdesk
 
-PKG = Path(__file__).resolve().parents[1] / "src" / "qdesk"
+ROOT = Path(__file__).resolve().parents[1]
+PKG = ROOT / "src" / "qdesk"
 MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
 
 
@@ -19,12 +20,17 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def declared_all(tree: ast.Module) -> set:
+def assigned_literal(tree: ast.Module, name: str, default=()):
+    """The literal value assigned to the module-level ``name``."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return default
+
+
+def declared_all(tree: ast.Module) -> set:
+    return set(assigned_literal(tree, "__all__"))
 
 
 def test_package_exports_are_in_module_all():
@@ -103,3 +109,18 @@ def test_no_orphaned_private_helpers():
                and node.name.startswith("_")
                and used[node.name] == referenced_names(node)[node.name]]
     assert orphans == []
+
+
+SPANS = assigned_literal(parse(ROOT / "perfbench" / "spans.py"), "SPANS")
+
+
+@pytest.mark.parametrize("span", SPANS)
+def test_benchmark_span_resolves(span):
+    """perfbench traces each ``module.name`` (or ``module.Class.method``)
+    span through that qdesk module's binding; read without importing
+    perfbench, every name must still resolve to a callable there."""
+    module, *path = span.split(".")
+    target = importlib.import_module(f"qdesk.{module}")
+    for attr in path:
+        target = getattr(target, attr)
+    assert callable(target)
