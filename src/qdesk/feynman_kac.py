@@ -145,32 +145,27 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
     returns Y_k for the 512 paths k of ``block``.  Every step is row-wise
     and runs on whole row groups (see ``_serial_matmul``), so Y_k depends
     only on (seed, k), not on the blocks computed before it or on the
-    thread.  A polynomial's path moments S_p take one product each for
-    1 <= p <= deg; S_0, the same for every path, is computed once.  Build
-    and call it on one BLAS thread: ``fk_mc_partition`` holds
-    ``_one_blas_thread``'s non-reentrant lock around both, so the sampler
-    must not enter it."""
+    thread.  The path moments S_p take one product each for 1 <= p <= deg;
+    S_0, the same for every path, is computed once.  Build and call it on
+    one BLAS thread: ``fk_mc_partition`` holds ``_one_blas_thread``'s
+    non-reentrant lock around both, so the sampler must not enter it."""
     lam = _thermal_lambda(beta, m, hbar)
     levy_t = np.ascontiguousarray(_levy_matrix(beta, m_slices, m, hbar).T)
     # trapezoid weights: endpoints (both w=0) carry half weight each
     dtau = beta / m_slices
     tw = np.full(m_slices + 1, dtau)
     tw[0] = tw[-1] = dtau / 2
-    # a polynomial's action is a polynomial in q
-    coeffs = v.coeffs
-    if coeffs is not None:
-        deg = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
-        coeffs = coeffs[:deg + 1]
-    gaussian = coeffs is not None and deg == 2 and coeffs[2] > 0
+    # the action is a polynomial in q
+    deg = max((i for i, c in enumerate(v.coeffs) if c != 0), default=0)
+    coeffs = v.coeffs[:deg + 1]
+    gaussian = deg == 2 and coeffs[2] > 0
     if not gaussian:
         r = _decay_radius(v, beta, floor=27.7)  # e^{-beta (v - v(0))} < 1e-12
         pad = 2 * math.sqrt(hbar ** 2 * beta / m)  # room for path excursions
         q = np.linspace(-r - pad, r + pad, _Q_NODES)
         scale = (q[1] - q[0]) / lam
-        if coeffs is not None:
-            qpow = np.vander(q, deg + 1, increasing=True).T.copy()
-    if coeffs is not None:
-        s0 = _serial_matmul(np.ones((4, m_slices + 1)), tw)[0]
+        qpow = np.vander(q, deg + 1, increasing=True).T.copy()
+    s0 = _serial_matmul(np.ones((4, m_slices + 1)), tw)[0]
     # Each thread reuses its arrays: freed ones go back to the OS when
     # glibc trims the thread's heap, and fault in anew.
     local = threading.local()
@@ -185,34 +180,28 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                 "action": np.empty((_BLOCK_PATHS, 0 if gaussian else _Q_NODES)),
             }
         w = _block_bridges(levy_t, seed, block, a["z"], a["w"])
-        if coeffs is not None:
-            # binomial trick: sum_j' v(q+w_j) dtau expands in path moments
-            # S_p = sum_j' w_j^p dtau, giving per-path polynomials in q
-            s = np.empty((deg + 1, _BLOCK_PATHS))
-            s[0] = s0
-            wp = w
-            for p in range(1, deg + 1):
-                # repeated products: float ** is ~100x slower
-                if p == 2:
-                    wp = np.multiply(w, w, out=a["wp"])
-                elif p > 2:
-                    wp *= w
-                _serial_matmul(wp, tw, s[p])
-            qc = np.zeros((_BLOCK_PATHS, deg + 1))  # action coefficients in q
-            for i, ci in enumerate(coeffs):
-                if ci == 0:
-                    continue
-                for j in range(i + 1):
-                    qc[:, i - j] += ci * math.comb(i, j) * s[j]
-            if gaussian:
-                a0, a1, a2 = qc.T
-                return np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
-            action = _serial_matmul(qc, qpow, a["action"])
-        else:
-            action = a["action"]
-            action.fill(0.0)
-            for j, weight in enumerate(tw):
-                action += weight * v(q[None, :] + w[:, [j]])
+        # binomial trick: sum_j' v(q+w_j) dtau expands in path moments
+        # S_p = sum_j' w_j^p dtau, giving per-path polynomials in q
+        s = np.empty((deg + 1, _BLOCK_PATHS))
+        s[0] = s0
+        wp = w
+        for p in range(1, deg + 1):
+            # repeated products: float ** is ~100x slower
+            if p == 2:
+                wp = np.multiply(w, w, out=a["wp"])
+            elif p > 2:
+                wp *= w
+            _serial_matmul(wp, tw, s[p])
+        qc = np.zeros((_BLOCK_PATHS, deg + 1))  # action coefficients in q
+        for i, ci in enumerate(coeffs):
+            if ci == 0:
+                continue
+            for j in range(i + 1):
+                qc[:, i - j] += ci * math.comb(i, j) * s[j]
+        if gaussian:
+            a0, a1, a2 = qc.T
+            return np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
+        action = _serial_matmul(qc, qpow, a["action"])
         # e^{-(A - min A)} in place, floored: exp is 3-4x slower on subnormals
         shift = action.min(axis=1)
         np.subtract(shift[:, None], action, out=action)

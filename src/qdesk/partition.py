@@ -5,20 +5,20 @@ and dropping the path integral yields the sandwich
     z(beta, beta) <= tr e^{-beta H} <= z(beta, 0),
 where z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)} and
 lambda = sqrt(2 pi beta hbar^2 / m).  z is strictly decreasing in tau for
-non-constant smooth potentials, so a unique tau*(beta) in (0, beta]
+non-constant potentials, so a unique tau*(beta) in (0, beta]
 reproduces the exact trace.  The spectral reference sums e^{-beta E_k} over
 the eigenvalues of the Fourier-grid Hamiltonian.  The Monte Carlo estimate
 of the trace is in ``feynman_kac``.
 
-Only confining, continuous potentials are supported; the general validity
+Only confining polynomial potentials are supported; the general validity
 conditions of the trace formula are out of scope.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -32,51 +32,31 @@ __all__ = [
 ]
 
 _EXP_FLOOR = 720.0  # beta*v beyond this puts e^{-beta v} under 1e-300
+_LOG_MAX = math.log(sys.float_info.max)  # 709.78: e^x overflows beyond it
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Potential energy profile on the whole real line: polynomial
-    (ascending coefficients) or vectorized callable."""
+    """Polynomial potential energy on the whole real line, by its ascending
+    coefficients."""
 
-    coeffs: tuple | None = None
-    fn: Callable | None = None
+    coeffs: tuple
 
     def __post_init__(self):
-        if (self.coeffs is None) == (self.fn is None):
-            raise ValueError("exactly one of coeffs, fn must be given")
-        if self.coeffs is not None:
-            object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not coeffs:
+            raise ValueError("a potential needs at least one coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def polynomial(cls, coeffs) -> "Potential":
-        return cls(coeffs=tuple(coeffs))
-
-    @classmethod
-    def from_callable(cls, fn) -> "Potential":
-        return cls(fn=fn)
+        return cls(tuple(coeffs))
 
     def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        if self.coeffs is not None:
-            return npoly.polyval(q, self.coeffs)
-        out = np.asarray(self.fn(q), dtype=float)
-        if out.shape != q.shape:
-            raise ValueError("potential callable must be vectorized")
-        return out
+        return npoly.polyval(np.asarray(q, dtype=float), self.coeffs)
 
-    def derivative(self) -> Callable:
-        if self.coeffs is not None:
-            d = npoly.polyder(self.coeffs)
-            return lambda q: npoly.polyval(np.asarray(q, dtype=float), d)
-        h = 1e-5
-
-        def central(q):
-            q = np.asarray(q, dtype=float)
-            up, down = q + h, q - h
-            return (self(up) - self(down)) / (up - down)
-
-        return central
+    def derivative(self) -> "Potential":
+        return Potential(tuple(npoly.polyder(self.coeffs)))
 
 
 def gauss_transform_potential(v: Potential, tau: float, m: float,
@@ -90,28 +70,14 @@ def gauss_transform_potential(v: Potential, tau: float, m: float,
     if tau == 0:
         return v
     s = tau * hbar ** 2 / (12 * m)
-    if v.coeffs is not None:
-        c = v.coeffs
-        out = [0.0] * len(c)
-        for i, ci in enumerate(c):
-            if ci == 0:
-                continue
-            for j in range(0, i + 1, 2):
-                mom = math.prod(range(j - 1, 0, -2))  # E[xi^j] = (j-1)!!
-                out[i - j] += ci * math.comb(i, j) * mom * s ** (j / 2)
-        return Potential(coeffs=tuple(out))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(64)
-    root_s = math.sqrt(s)
-    norm = weights.sum()
-
-    def smoothed(q):
-        q = np.asarray(q, dtype=float)
-        vals = v(q[..., None] + root_s * nodes)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("potential grows too fast for the quadrature")
-        return (vals * weights).sum(axis=-1) / norm
-
-    return Potential(fn=smoothed)
+    out = [0.0] * len(v.coeffs)
+    for i, ci in enumerate(v.coeffs):
+        if ci == 0:
+            continue
+        for j in range(0, i + 1, 2):
+            mom = math.prod(range(j - 1, 0, -2))  # E[xi^j] = (j-1)!!
+            out[i - j] += ci * math.comb(i, j) * mom * s ** (j / 2)
+    return Potential(tuple(out))
 
 
 def _decay_radius(v: Potential, beta: float, floor: float = _EXP_FLOOR,
@@ -151,12 +117,13 @@ def _boltzmann_integrand(vt: Potential,
     e^{-720}, and the shift, for the caller to scale by e^{-shift}.  The
     shift is 0 unless min beta v_tau passes 720; then it is that minimum,
     so that the integrand peaks at 1 instead of sinking to the floor.
-    ValueError where min beta v_tau is under -720: the integral overflows."""
+    ValueError where min beta v_tau is under -709.78, before e^{-beta v_tau}
+    overflows."""
     r = _decay_radius(vt, beta)
     q = np.linspace(-r, r, 8193)
     exponent = beta * vt(q)
     low = float(exponent.min())
-    if low < -_EXP_FLOOR:
+    if low < -_LOG_MAX:
         raise ValueError(f"z(beta, tau) is outside the float range: "
                          f"min beta v_tau = {low:.4g}")
     shift = low if low > _EXP_FLOOR else 0.0
@@ -167,18 +134,24 @@ def classical_partition(v: Potential, beta: float, tau: float, m: float,
                         hbar: float = 1.0) -> float:
     """(Pseudo-)classical partition function
     z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)}; 0 or subnormal
-    where it is under the normal float range."""
+    where it is under the normal float range, ValueError where it is over."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     vt = gauss_transform_potential(v, tau, m, hbar)
     q, integrand, shift = _boltzmann_integrand(vt, beta)
-    z = np.trapezoid(integrand, q) / _thermal_lambda(beta, m, hbar)
-    return float(z * math.exp(-shift))
+    with np.errstate(over="ignore"):  # an infinite sum is caught below
+        z = float(np.trapezoid(integrand, q)) / _thermal_lambda(beta, m, hbar)
+    z *= math.exp(-shift)
+    if not math.isfinite(z):
+        raise ValueError("z(beta, tau) is outside the float range: "
+                         "the integral overflows")
+    return z
 
 
 # The spectral reference's grid: a Boltzmann factor of e^{-27.7} < 1e-12
 # at the box edge and at the momentum cutoff, the three lowest eigenstates
-# under 1e-10 of their peaks at the position and momentum edges, successive
-# doublings of n agreeing to 1e-10 relative, and at most 4096 points.
+# under 1e-10 of their peaks at the position and momentum edges, the sum
+# agreeing with the sum on twice the points to 1e-10 relative, and at most
+# 4096 points.
 _CUTOFF_EXPONENT = 27.7
 _EDGE_TOL = 1e-10
 _SPECTRAL_RTOL = 1e-10
@@ -223,7 +196,9 @@ def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
     """sum_k e^{-beta E_k} over the eigenvalues of the grid Hamiltonian and,
     with ``edges``, the largest amplitude of the three lowest eigenstates at
     the position edges and at the momentum edges |p| = pi hbar/dq, each over
-    its peak (0 without; only then are eigenvectors computed)."""
+    its peak (0 without; only then are eigenvectors computed).  ValueError
+    where beta E_0 is under -709.78 (before any term overflows) or past 720,
+    and where the sum overflows."""
     h = grid_hamiltonian(spec, m, v)
     q_edge = p_edge = 0.0
     with _one_blas_thread():
@@ -235,10 +210,16 @@ def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
         q_edge = float((low[[0, -1]].max(axis=0) / low.max(axis=0)).max())
         p_edge = float((low_hat[[n // 2 - 1, n // 2]].max(axis=0)
                         / low_hat.max(axis=0)).max())
-    if abs(beta * vals[0]) > _EXP_FLOOR:
+    beta_e0 = beta * vals[0]
+    if not -_LOG_MAX <= beta_e0 <= _EXP_FLOOR:
         raise ValueError(f"tr e^{{-beta H}} is outside the float range: "
-                         f"beta E_0 = {beta * vals[0]:.4g}")
-    return float(np.exp(-beta * vals).sum()), q_edge, p_edge
+                         f"beta E_0 = {beta_e0:.4g}")
+    with np.errstate(over="ignore"):  # an infinite sum is caught below
+        total = float(np.exp(-beta * vals).sum())
+    if not math.isfinite(total):
+        raise ValueError("tr e^{-beta H} is outside the float range: "
+                         "the sum overflows")
+    return total, q_edge, p_edge
 
 
 def spectral_partition(v: Potential, beta: float, m: float = 1.0,
@@ -252,9 +233,10 @@ def spectral_partition(v: Potential, beta: float, m: float = 1.0,
     >= 64 whose momentum cutoff p = pi hbar/dq has beta p^2/2m >= 27.7.
     While one of the three lowest eigenstates exceeds 1e-10 of its peak at
     the position or momentum edge, the box doubles (n starting again) if
-    the position edge is the worse, else n doubles.  Then n doubles over
-    the box until two successive sums agree within 1e-10 relative, and the
-    finer sum is returned.  A grid past n = 4096 raises ValueError."""
+    the position edge is the worse, else n doubles.  Then n doubles once
+    over the box, and the finer sum is returned if it agrees with the last
+    one within 1e-10 relative; ValueError if not, and for a grid past
+    n = 4096."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     length = 2 * _decay_radius(v, beta, _CUTOFF_EXPONENT, bisect=True)
     spec = _first_grid(length, beta, m, hbar)
@@ -270,13 +252,15 @@ def spectral_partition(v: Potential, beta: float, m: float = 1.0,
             spec = GridSpec(2 * spec.n, spec.length, hbar)
         else:
             spec = _first_grid(2 * spec.length, beta, m, hbar)
-    while True:
-        _check_budget(2 * spec.n)
-        finer = GridSpec(2 * spec.n, spec.length, hbar)
-        finer_total, _, _ = _boltzmann_sum(v, beta, finer, m, edges=False)
-        if abs(finer_total - total) <= _SPECTRAL_RTOL * finer_total:
-            return _GridSum(finer_total, finer)
-        spec, total = finer, finer_total
+    _check_budget(2 * spec.n)
+    finer = GridSpec(2 * spec.n, spec.length, hbar)
+    finer_total, _, _ = _boltzmann_sum(v, beta, finer, m, edges=False)
+    if not abs(finer_total - total) <= _SPECTRAL_RTOL * finer_total:
+        raise ValueError(f"unconverged grid: the sums on n = {spec.n} and "
+                         f"{finer.n} points differ by "
+                         f"{abs(finer_total - total) / finer_total:.3g} "
+                         f"relative, over {_SPECTRAL_RTOL:g}")
+    return _GridSum(finer_total, finer)
 
 
 def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
@@ -336,7 +320,7 @@ def monotonicity_check(v: Potential, beta: float, m: float = 1.0,
             continue
         vt = gauss_transform_potential(v, t, m, hbar)
         q, boltzmann, shift = _boltzmann_integrand(vt, beta)
-        integrand = boltzmann * np.asarray(vt.derivative()(q)) ** 2
+        integrand = boltzmann * vt.derivative()(q) ** 2
         formula = -(beta * lam / (48 * math.pi)) * float(np.trapezoid(integrand, q))
         formula *= math.exp(-shift)
         h = 1e-3 * beta

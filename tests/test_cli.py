@@ -253,6 +253,11 @@ class TestExitCodes:
         assert cli.main(["--scenario", "fk", "--slices", "0"]) == 2
         assert "slices must be at least 1" in capsys.readouterr().err
 
+    def test_trace_past_the_float_range_exits_2(self, capsys):
+        # min beta v = -715: e^{715} overflows, inside the old +-720 window
+        assert cli.main(["--scenario", "fk", "--potential=-357.5,0,0.5"]) == 2
+        assert "outside the float range" in capsys.readouterr().err
+
     def test_one_slice_is_the_classical_bound(self, capsys):
         # the library's bound: one slice gives every path the classical
         # z(beta, 0), so the stderr is 0 and the 3-stderr check fails

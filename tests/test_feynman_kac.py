@@ -33,19 +33,18 @@ from qdesk.partition import (
     spectral_partition,
     tau_star,
 )
-from qdesk.phasespace import GridSpec
 
 HARMONIC = Potential.polynomial([0.0, 0.0, 0.5])
 QUARTIC = Potential.polynomial([0.0, 0.0, 0.0, 0.0, 0.25])
+ODD_QUARTIC = Potential.polynomial([0.1, 0.3, 0.5, -0.2, 0.25])
 SPECTRAL_HARMONIC = 1.0 / (2 * math.sinh(1.0))  # beta = 2, hbar = omega = 1
 
 
 class TestPotential:
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            Potential(coeffs=(0.0, 1.0), fn=lambda q: q)
-        with pytest.raises(ValueError):
-            Potential()
+    def test_rejects_empty_coefficients(self):
+        # rejected when built, not at the first evaluation
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            Potential.polynomial(())
 
     def test_polynomial_eval(self):
         assert HARMONIC(2.0) == 2.0
@@ -54,19 +53,6 @@ class TestPotential:
     def test_derivative_polynomial(self):
         d = QUARTIC.derivative()
         assert abs(float(d(2.0)) - 8.0) < 1e-12
-
-    def test_callable_must_be_vectorized(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            Potential.from_callable(lambda q: 1.0)(np.zeros(3))
-
-    def test_callable_derivative_is_the_central_quotient(self):
-        # the same quotient everywhere on the line, far out included
-        v = Potential.from_callable(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4)
-        q = np.array([-50.0, -1.5, 0.0, 0.3, 50.0])
-        up, down = q + 1e-5, q - 1e-5
-        d = v.derivative()(q)
-        np.testing.assert_array_equal(d, (v(up) - v(down)) / (up - down))
-        np.testing.assert_allclose(d, q + 0.4 * q ** 3, rtol=1e-9, atol=1e-9)
 
 
 class TestGaussTransform:
@@ -84,12 +70,22 @@ class TestGaussTransform:
         with pytest.raises(ValueError, match="tau must be nonnegative"):
             gauss_transform_potential(HARMONIC, tau, 1.0)
 
-    def test_callable_matches_polynomial(self):
-        v = Potential.from_callable(lambda q: 0.25 * q ** 4)
-        vt_a = gauss_transform_potential(v, 1.5, 1.0)
-        vt_b = gauss_transform_potential(QUARTIC, 1.5, 1.0)
-        q = np.linspace(-2, 2, 9)
-        assert np.max(np.abs(vt_a(q) - vt_b(q))) < 1e-10
+    @pytest.mark.parametrize("tau, hbar, m", [
+        (1.5, 1.0, 1.0), (0.2, 0.5, 2.0), (3.0, 2.0, 0.5), (8.0, 1.0, 0.25)])
+    def test_matches_closed_forms(self, tau, hbar, m):
+        # E[v(q + xi sqrt(s))] by hand from the Gaussian moments s, 3s^2, 15s^3
+        s = tau * hbar ** 2 / (12 * m)
+        q = np.linspace(-3, 3, 13)
+        quartic = gauss_transform_potential(QUARTIC, tau, m, hbar)
+        np.testing.assert_allclose(
+            quartic(q), q ** 4 / 4 + 1.5 * s * q ** 2 + 0.75 * s ** 2,
+            rtol=1e-13, atol=0)
+        # q^6 - 2q^3 + q
+        sextic = Potential.polynomial((0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 1.0))
+        want = (q ** 6 + 15 * s * q ** 4 + 45 * s ** 2 * q ** 2 + 15 * s ** 3
+                - 2 * q ** 3 - 6 * s * q + q)
+        np.testing.assert_allclose(gauss_transform_potential(sextic, tau, m, hbar)(q),
+                                   want, rtol=1e-12, atol=1e-12)
 
 
 class TestClassicalPartition:
@@ -127,6 +123,35 @@ class TestClassicalPartition:
             with pytest.raises(ValueError, match="outside the float range"):
                 classical_partition(Potential.polynomial((-1000.0, 0.0, 0.5)),
                                     2.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("c, hbar", [(-357.5, 1.0), (-354.75, 0.25)])
+    def test_overflow_window_raises(self, c, hbar):
+        # c + q^2/2 at beta = 2.  At c = -357.5, min beta v_tau ~ -715 is
+        # inside +-720 but past ln(float max) = 709.78.  At c = -354.75 it is
+        # -709.5, and z ~ 2 e^{709.5} overflows in the sum.  Both references
+        # raise, with no overflow warning
+        v = Potential.polynomial((c, 0.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for run in (lambda: classical_partition(v, 2.0, 0.0, 1.0, hbar),
+                        lambda: classical_partition(v, 2.0, 2.0, 1.0, hbar),
+                        lambda: spectral_partition(v, 2.0, hbar=hbar)):
+                with pytest.raises(ValueError, match="outside the float range"):
+                    run()
+
+    def test_values_near_the_top_of_the_float_range(self):
+        # c + q^2/2 at beta = 2 and c = -350: z(beta, 0) = e^{700}/2,
+        # z(beta, beta) = e^{700 - 1/6}/2 (s = 1/6) and tr e^{-beta H} =
+        # e^{700}/(2 sinh 1)
+        v = Potential.polynomial((-350.0, 0.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            upper = classical_partition(v, 2.0, 0.0, 1.0)
+            lower = classical_partition(v, 2.0, 2.0, 1.0)
+            z = spectral_partition(v, 2.0)
+        assert abs(upper / (math.exp(700.0) / 2) - 1) <= 1e-12
+        assert abs(lower / (math.exp(700.0 - 1 / 6) / 2) - 1) <= 1e-12
+        assert abs(z / (math.exp(700.0) * SPECTRAL_HARMONIC) - 1) <= 1e-10
 
     @pytest.mark.parametrize("c", [0.0, 400.0])
     def test_constant_potential_diverges(self, c):
@@ -299,15 +324,27 @@ class TestSpectralGrid:
         assert abs(z - exact) <= 1e-10 * exact
         assert z.grid.n <= 4096
 
-    def test_n_doubles_until_two_sums_agree(self):
-        # |q|^5 jumps in its fifth derivative, so its sums converge slowly
-        # enough in n to need a second doubling after the edge tests pass
-        v = Potential.from_callable(lambda q: np.abs(q) ** 5)
-        z = spectral_partition(v, 2.0)
-        half, quarter = (_boltzmann_sum(v, 2.0, GridSpec(z.grid.n // k, z.grid.length),
-                                        1.0, edges=False)[0]
-                         for k in (2, 4))
-        assert abs(z - half) <= 1e-10 * z < abs(half - quarter)
+    @pytest.mark.parametrize("rel", [1e-9, 1e-11])
+    def test_finer_sum_must_agree(self, rel, monkeypatch):
+        # after the edge tests n doubles once: the finer sum, moved by rel,
+        # is returned within 1e-10 of the last one and raises past it
+        finer = []
+
+        def perturbed(v, beta, spec, m, edges):
+            total, q_edge, p_edge = _boltzmann_sum(v, beta, spec, m, edges)
+            if not edges:
+                total *= 1 + rel
+                finer.append((total, spec))
+            return total, q_edge, p_edge
+
+        monkeypatch.setattr(pt, "_boltzmann_sum", perturbed)
+        if rel > 1e-10:
+            with pytest.raises(ValueError, match="unconverged grid"):
+                spectral_partition(HARMONIC, 2.0)
+        else:
+            z = spectral_partition(HARMONIC, 2.0)
+            assert [(float(z), z.grid)] == finer
+        assert len(finer) == 1
 
     @pytest.mark.parametrize("beta,hbar,m", UNDERFLOWING)
     def test_underflowing_trace_raises(self, beta, hbar, m):
@@ -532,9 +569,7 @@ class TestMonteCarlo:
                 groups = [a[i:i + 4] @ b for i in range(0, n_rows, 4)]
                 assert np.array_equal(_serial_matmul(a, b), np.concatenate(groups))
 
-    @pytest.mark.parametrize("v", [
-        HARMONIC, QUARTIC,
-        Potential.from_callable(lambda q: 0.5 * q ** 2)])
+    @pytest.mark.parametrize("v", [HARMONIC, QUARTIC, ODD_QUARTIC])
     def test_path_value_independent_of_surrounding_paths(self, v):
         # a block's values are a function of (seed, block) alone: the same
         # bits computed first, after other blocks, or on another thread
@@ -551,9 +586,7 @@ class TestMonteCarlo:
         assert first.shape == (512,)
         assert np.array_equal(first, again) and np.array_equal(first, other[0])
 
-    @pytest.mark.parametrize("v", [
-        HARMONIC, QUARTIC,
-        Potential.from_callable(lambda q: 0.5 * q ** 2)])
+    @pytest.mark.parametrize("v", [HARMONIC, QUARTIC, ODD_QUARTIC])
     @pytest.mark.parametrize("n_paths", [2, 511, 512, 513, 1_500, 5_003])
     def test_estimate_is_mean_of_path_values(self, v, n_paths):
         # one block, whole and partial, an odd block count, and a partial
@@ -598,11 +631,28 @@ class TestMonteCarlo:
         assert abs(est - classical_partition(HARMONIC, 2.0, 0.0, 1.0)) < 1e-7
         assert stderr < 1e-12
 
-    def test_callable_matches_polynomial_path(self):
-        v = Potential.from_callable(lambda q: 0.5 * q ** 2)
-        a = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=2)
-        b = fk_mc_partition(v, 2.0, n_paths=2_000, seed=2)
-        assert abs(a[0] - b[0]) < 1e-10
+    def test_harmonic_estimate_matches_grid_oracle(self):
+        est, _ = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=2)
+        grid = grid_path_values(HARMONIC, 2.0, 1.0, 1.0, 64, 2, 2_000)
+        assert abs(est - float(np.mean(grid))) < 1e-10
+
+
+def grid_path_values(v, beta, m, hbar, m_slices, seed, n_paths):
+    """Oracle for Y_k = (1/lambda) int dq e^{-A_k(q)}, v evaluated directly:
+    A_k(q) = sum_j' tw_j v(q + w_kj) over the rows w_k of
+    sample_bridge_ensemble, and Y_k = (dq/lambda) sum_q e^{-A_k(q)} on the
+    sampler's 161-node box."""
+    w = sample_bridge_ensemble(beta, m_slices, n_paths, m, hbar, seed)
+    r = pt._decay_radius(v, beta, floor=27.7)
+    pad = 2 * math.sqrt(hbar ** 2 * beta / m)
+    q = np.linspace(-r - pad, r + pad, 161)
+    tw = np.full(m_slices + 1, beta / m_slices)
+    tw[[0, -1]] /= 2
+    action = sum(t * v(q[None, :] + w[:, [j]]) for j, t in enumerate(tw))
+    low = action.min(axis=1)
+    lam = math.sqrt(2 * math.pi * beta * hbar ** 2 / m)
+    weights = np.exp(low[:, None] - action).sum(axis=1)
+    return weights * np.exp(-low) * (q[1] - q[0]) / lam
 
 
 def _gaussian_path_values(coeffs, beta, m, hbar, m_slices, n_paths, seed):
@@ -624,24 +674,22 @@ class TestQuadraticClosedForm:
     @pytest.mark.parametrize("beta, hbar, m", [
         (2.0, 1.0, 1.0), (2.0, 0.5, 1.0), (2.0, 2.0, 1.0), (2.0, 1.0, 2.0),
         (20.0, 1.0, 1.0)])
-    def test_harmonic_matches_callable_grid(self, beta, hbar, m):
+    def test_harmonic_matches_grid_oracle(self, beta, hbar, m):
         # the closed form and the float64 grid sum agree path by path
-        twin = Potential.from_callable(lambda q: 0.5 * q ** 2)
         y = block_values(HARMONIC, beta, m, hbar, 64, 3, 1_000)
-        grid = block_values(twin, beta, m, hbar, 64, 3, 1_000)
+        grid = grid_path_values(HARMONIC, beta, m, hbar, 64, 3, 1_000)
         np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
 
-    def test_shifted_well_matches_callable_grid(self):
+    def test_shifted_well_matches_grid_oracle(self):
         v = Potential.polynomial((0.3, -0.4, 0.7))
-        twin = Potential.from_callable(lambda q: 0.3 - 0.4 * q + 0.7 * q ** 2)
         y = block_values(v, 2.0, 1.0, 1.0, 64, 3, 1_000)
-        grid = block_values(twin, 2.0, 1.0, 1.0, 64, 3, 1_000)
+        grid = grid_path_values(v, 2.0, 1.0, 1.0, 64, 3, 1_000)
         np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
 
-    def test_quartic_matches_callable_grid(self):
-        twin = Potential.from_callable(lambda q: 0.25 * q ** 4)
+    def test_quartic_matches_grid_oracle(self):
+        # the moment trick against v summed over the slices
         y = block_values(QUARTIC, 2.0, 1.0, 1.0, 64, 3, 1_000)
-        grid = block_values(twin, 2.0, 1.0, 1.0, 64, 3, 1_000)
+        grid = grid_path_values(QUARTIC, 2.0, 1.0, 1.0, 64, 3, 1_000)
         np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
 
     def test_trailing_zero_coefficients_take_the_closed_form(self):
@@ -677,9 +725,9 @@ class TestBoundsAndTauStar:
         res = monotonicity_check(QUARTIC, 2.0)
         assert res["strictly_decreasing"]
 
-    def test_monotonicity_callable(self):
-        # the derivative identity with v_tau' from central differences
-        v = Potential.from_callable(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4)
+    def test_monotonicity_anharmonic(self):
+        # the derivative identity for q^2/2 + 0.1 q^4
+        v = Potential.polynomial((0.0, 0.0, 0.5, 0.0, 0.1))
         res = monotonicity_check(v, 2.0)
         assert res["strictly_decreasing"]
         assert max(res["derivative_relative_errors"]) < 1e-8
@@ -759,13 +807,3 @@ class TestBoundsAndTauStar:
         assert d["z_lower"] <= d["mc_estimate"] + 5 * d["mc_stderr"]
         assert d["mc_estimate"] - 5 * d["mc_stderr"] <= d["z_upper"]
         assert 0.0 < d["tau_star"] <= 2.0
-
-    def test_bound_check_runs_a_callable(self):
-        # every estimator runs the callable on the whole line, where the
-        # spectral box grows past any fixed interval
-        v = Potential.from_callable(lambda q: 0.5 * q ** 2)
-        d = bound_check(v, 0.5, n_paths=5_000, seed=1).to_json()
-        assert abs(d["spectral_reference"] * 2 * math.sinh(0.25) - 1) < 1e-9
-        assert d["z_lower"] <= d["spectral_reference"] <= d["z_upper"]
-        assert d["z_lower"] <= d["mc_estimate"] + 5 * d["mc_stderr"]
-        assert d["mc_estimate"] - 5 * d["mc_stderr"] <= d["z_upper"]
