@@ -20,7 +20,7 @@ import numpy as np
 
 from .operators import _one_blas_thread, _require_positive
 from .partition import (
-    Potential, _cutoff_exponent, _decay_radius, _thermal_lambda,
+    Potential, _cutoff_exponent, _decay_radius, _peak_weights, _thermal_lambda,
     classical_partition, spectral_partition, tau_star,
 )
 
@@ -202,14 +202,8 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
             a0, a1, a2 = qc.T
             return np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
         action = _serial_matmul(qc, qpow, a["action"])
-        # e^{-(A - min A)} in place, floored: exp is 3-4x slower on subnormals
-        shift = action.min(axis=1)
-        np.subtract(shift[:, None], action, out=action)
-        np.maximum(action, -700.0, out=action)
-        np.exp(action, out=action)
-        y = action.sum(axis=1)
-        y *= np.exp(-shift) * scale
-        return y
+        weights, low = _peak_weights(action, out=action)  # floored, in place
+        return weights.sum(axis=1) * (np.exp(-low) * scale)
 
     return values
 
@@ -222,9 +216,10 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     Each path contributes Y_k = (1/lambda) int dq e^{-A_k(q)} with the
     trapezoid time integral A_k(q) = sum_j' v(q + w_k(tau_j)) dtau; the
     estimate is the path-ensemble mean of Y (pairwise summation, fixed
-    path order), the stderr its sample deviation over sqrt(N).  On a
-    quadratic well Y_k is the Gaussian integral in closed form, else a sum
-    of float64 weights e^{-(A_k - min A_k)} on 161 q-nodes.
+    path order), the stderr its sample deviation over sqrt(N); ValueError
+    where a Y_k passes the largest float.  On a quadratic well Y_k is the
+    Gaussian integral in closed form, else e^{-min A_k} times a sum of
+    ``partition._peak_weights`` e^{-(A_k - min A_k)} on 161 q-nodes.
     Paths run in whole blocks of 512, whose arrays stay in cache, in two
     tasks on two threads (numpy's Gaussian sampler and array operations
     release the GIL) and one BLAS thread: task t takes blocks t, t+2, ...,
@@ -240,8 +235,9 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     values = np.empty((n_blocks, _BLOCK_PATHS))
 
     def run(task: int) -> None:
-        for block in range(task, n_blocks, 2):
-            values[block] = block_values(block)
+        with np.errstate(over="ignore"):  # an infinite value is caught below
+            for block in range(task, n_blocks, 2):
+                values[block] = block_values(block)
 
     # imported here: only the path sampler needs it
     from concurrent.futures import ThreadPoolExecutor
@@ -249,13 +245,14 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
         block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
         list(pool.map(run, range(2)))
     values = values.reshape(-1)[:n_paths]
-    estimate = float(np.mean(values))
-    # values under ~1e-154 have squared deviations that underflow: take the
-    # deviation of the values scaled in place by 2^-k, which is exact, and
-    # undo it
+    if not np.isfinite(values).all():
+        raise ValueError("tr e^{-beta H} is outside the float range: "
+                         "a path value overflows")
+    # scaled in place by 2^-k, exactly: the sum cannot overflow, nor squares underflow
     k = math.frexp(values.max())[1]
-    spread = math.ldexp(float(np.std(np.ldexp(values, -k, out=values), ddof=1)), k)
-    return estimate, spread / math.sqrt(n_paths)
+    scaled = np.ldexp(values, -k, out=values)
+    spread = math.ldexp(float(np.std(scaled, ddof=1)), k)
+    return math.ldexp(float(np.mean(scaled)), k), spread / math.sqrt(n_paths)
 
 
 @dataclass(frozen=True)

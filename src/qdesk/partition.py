@@ -31,7 +31,8 @@ __all__ = [
     "spectral_partition", "tau_star", "monotonicity_check",
 ]
 
-_EXP_FLOOR = 720.0  # beta*v beyond this puts e^{-beta v} under 1e-300
+_BOX_EXPONENT = 720.0  # a classical box ends e^{-720} below e^{-beta v(0)}
+_WEIGHT_FLOOR = 700.0  # e^{-700} ~ 1e-304 floors a weight clear of subnormals
 _LOG_MAX = math.log(sys.float_info.max)  # 709.78: e^x overflows beyond it
 
 
@@ -80,7 +81,7 @@ def gauss_transform_potential(v: Potential, tau: float, m: float,
     return Potential(tuple(out))
 
 
-def _decay_radius(v: Potential, beta: float, floor: float = _EXP_FLOOR,
+def _decay_radius(v: Potential, beta: float, floor: float = _BOX_EXPONENT,
                   bisect: bool = False) -> float:
     """Radius beyond which e^{-beta v} drops under e^{-floor} of its value
     at q = 0: the first power of two past it or, with ``bisect``, the
@@ -110,41 +111,47 @@ def _thermal_lambda(beta: float, m: float, hbar: float) -> float:
     return math.sqrt(2 * math.pi * beta * hbar ** 2 / m)
 
 
-def _boltzmann_integrand(vt: Potential,
-                         beta: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _peak_weights(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """e^{-(x - min x)} along the last axis, floored at e^{-700} (exp is 3-4x
+    slower on subnormals), into ``out`` if given (``x`` itself may be it),
+    and min x: weights that sum to >= 1 without overflowing."""
+    low = x.min(axis=-1, keepdims=True)
+    out = np.subtract(low, x, out=out)
+    np.maximum(out, -_WEIGHT_FLOOR, out=out)
+    np.exp(out, out=out)
+    return out, low[..., 0]
+
+
+def _scale_back(total: float, low: float, what: str) -> float:
+    """total e^{-low} by two halves of e^{-low}, so no factor overflows where
+    the product does not; ValueError naming ``what`` past the largest float."""
+    half = math.exp(min(-float(low) / 2, _LOG_MAX))  # past the cap, inf anyway
+    value = total * half * half
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is outside the float range: "
+                         f"{total:.6g} e^{{{-float(low):.6g}}}")
+    return value
+
+
+def _boltzmann_integrand(vt: Potential, beta: float) -> tuple:
     """8193 q-nodes out to where e^{-beta v_tau} has fallen e^{-720} below
-    its value at q = 0, e^{-(beta v_tau - shift)} on them floored at
-    e^{-720}, and the shift, for the caller to scale by e^{-shift}.  The
-    shift is 0 unless min beta v_tau passes 720; then it is that minimum,
-    so that the integrand peaks at 1 instead of sinking to the floor.
-    ValueError where min beta v_tau is under -709.78, before e^{-beta v_tau}
-    overflows."""
+    its value at q = 0, and ``_peak_weights`` of beta v_tau on them."""
     r = _decay_radius(vt, beta)
     q = np.linspace(-r, r, 8193)
-    exponent = beta * vt(q)
-    low = float(exponent.min())
-    if low < -_LOG_MAX:
-        raise ValueError(f"z(beta, tau) is outside the float range: "
-                         f"min beta v_tau = {low:.4g}")
-    shift = low if low > _EXP_FLOOR else 0.0
-    return q, np.exp(-np.minimum(exponent - shift, _EXP_FLOOR)), shift
+    return (q, *_peak_weights(beta * vt(q)))
 
 
 def classical_partition(v: Potential, beta: float, tau: float, m: float,
                         hbar: float = 1.0) -> float:
     """(Pseudo-)classical partition function
-    z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)}; 0 or subnormal
-    where it is under the normal float range, ValueError where it is over."""
+    z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)}, integrated relative
+    to its peak and scaled back by ``_scale_back``: subnormal or 0 under
+    the normal float range, ValueError over it."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     vt = gauss_transform_potential(v, tau, m, hbar)
-    q, integrand, shift = _boltzmann_integrand(vt, beta)
-    with np.errstate(over="ignore"):  # an infinite sum is caught below
-        z = float(np.trapezoid(integrand, q)) / _thermal_lambda(beta, m, hbar)
-    z *= math.exp(-shift)
-    if not math.isfinite(z):
-        raise ValueError("z(beta, tau) is outside the float range: "
-                         "the integral overflows")
-    return z
+    q, weights, low = _boltzmann_integrand(vt, beta)
+    z = float(np.trapezoid(weights, q)) / _thermal_lambda(beta, m, hbar)
+    return _scale_back(z, low, "z(beta, tau)")
 
 
 # The spectral reference's grid: a Boltzmann factor of e^{-27.7} < 1e-12
@@ -196,9 +203,9 @@ def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
     """sum_k e^{-beta E_k} over the eigenvalues of the grid Hamiltonian and,
     with ``edges``, the largest amplitude of the three lowest eigenstates at
     the position edges and at the momentum edges |p| = pi hbar/dq, each over
-    its peak (0 without; only then are eigenvectors computed).  ValueError
-    where beta E_0 is under -709.78 (before any term overflows) or past 720,
-    and where the sum overflows."""
+    its peak (0 without; only then are eigenvectors computed).  The sum is
+    taken relative to e^{-beta E_0} and scaled back by ``_scale_back``;
+    ValueError where it passes the largest float or comes out 0."""
     h = grid_hamiltonian(spec, m, v)
     q_edge = p_edge = 0.0
     with _one_blas_thread():
@@ -210,15 +217,11 @@ def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
         q_edge = float((low[[0, -1]].max(axis=0) / low.max(axis=0)).max())
         p_edge = float((low_hat[[n // 2 - 1, n // 2]].max(axis=0)
                         / low_hat.max(axis=0)).max())
-    beta_e0 = beta * vals[0]
-    if not -_LOG_MAX <= beta_e0 <= _EXP_FLOOR:
+    weights, beta_e0 = _peak_weights(beta * vals)
+    total = _scale_back(float(weights.sum()), beta_e0, "tr e^{-beta H}")
+    if total == 0:
         raise ValueError(f"tr e^{{-beta H}} is outside the float range: "
-                         f"beta E_0 = {beta_e0:.4g}")
-    with np.errstate(over="ignore"):  # an infinite sum is caught below
-        total = float(np.exp(-beta * vals).sum())
-    if not math.isfinite(total):
-        raise ValueError("tr e^{-beta H} is outside the float range: "
-                         "the sum overflows")
+                         f"beta E_0 = {float(beta_e0):.4g}")
     return total, q_edge, p_edge
 
 
@@ -319,10 +322,9 @@ def monotonicity_check(v: Potential, beta: float, m: float = 1.0,
         if t <= 0 or t >= beta:
             continue
         vt = gauss_transform_potential(v, t, m, hbar)
-        q, boltzmann, shift = _boltzmann_integrand(vt, beta)
-        integrand = boltzmann * vt.derivative()(q) ** 2
-        formula = -(beta * lam / (48 * math.pi)) * float(np.trapezoid(integrand, q))
-        formula *= math.exp(-shift)
+        q, weights, low = _boltzmann_integrand(vt, beta)
+        integral = float(np.trapezoid(weights * vt.derivative()(q) ** 2, q))
+        formula = -_scale_back(beta * lam / (48 * math.pi) * integral, low, "dz/dtau")
         h = 1e-3 * beta
         numeric = (classical_partition(v, beta, t + h, m, hbar)
                    - classical_partition(v, beta, t - h, m, hbar)) / (2 * h)

@@ -258,6 +258,32 @@ class TestExitCodes:
         assert cli.main(["--scenario", "fk", "--potential=-357.5,0,0.5"]) == 2
         assert "outside the float range" in capsys.readouterr().err
 
+    def test_trace_near_the_largest_float_exits_0(self, capsys):
+        # Z = e^{700}/(2 sinh 1) ~ 4.3e303: the default 100k path values of
+        # ~e^{700} are averaged without their sum passing the largest float
+        code, out = run_cli(capsys, "--scenario", "fk", "--potential=-350,0,0.5")
+        assert code == 0
+        assert math.isfinite(json.loads(out)["results"]["mc_estimate"])
+
+    def test_path_value_past_the_largest_float_exits_2(self, capsys):
+        # Z = e^{709.6}/(2 sinh 1) ~ 6.4e307 is a float, and so are both
+        # bounds, but the Gaussian closed form of a path value multiplies
+        # sqrt(pi/a_2) = 1.77 into e^{709.6} before it divides by lambda =
+        # 3.54, and that product passes the largest float
+        assert cli.main(["--scenario", "fk", "--paths", "2000",
+                         "--potential=-354.8,0,0.5"]) == 2
+        assert "a path value overflows" in capsys.readouterr().err
+
+    def test_subnormal_trace_keeps_its_sandwich(self, capsys):
+        # beta E_0 = 719: each reference is summed from its own peak, so the
+        # subnormal lower bound stays under the reference and tau* is found
+        code, out = run_cli(capsys, "--scenario", "fk", "--paths", "2000",
+                            "--potential", "359,0,0.5")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert 0 < res["z_lower"] <= res["spectral_reference"] < sys.float_info.min
+        assert res["tau_star"] is not None
+
     def test_one_slice_is_the_classical_bound(self, capsys):
         # the library's bound: one slice gives every path the classical
         # z(beta, 0), so the stderr is 0 and the 3-stderr check fails

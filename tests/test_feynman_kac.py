@@ -140,18 +140,34 @@ class TestClassicalPartition:
                     run()
 
     def test_values_near_the_top_of_the_float_range(self):
-        # c + q^2/2 at beta = 2 and c = -350: z(beta, 0) = e^{700}/2,
-        # z(beta, beta) = e^{700 - 1/6}/2 (s = 1/6) and tr e^{-beta H} =
-        # e^{700}/(2 sinh 1)
-        v = Potential.polynomial((-350.0, 0.0, 0.5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            upper = classical_partition(v, 2.0, 0.0, 1.0)
-            lower = classical_partition(v, 2.0, 2.0, 1.0)
-            z = spectral_partition(v, 2.0)
-        assert abs(upper / (math.exp(700.0) / 2) - 1) <= 1e-12
-        assert abs(lower / (math.exp(700.0 - 1 / 6) / 2) - 1) <= 1e-12
-        assert abs(z / (math.exp(700.0) * SPECTRAL_HARMONIC) - 1) <= 1e-10
+        # c + q^2/2 at beta = 2: z(beta, 0) = e^{-2c}/2, z(beta, beta) =
+        # e^{-2c - 1/6}/2 (s = 1/6) and tr e^{-beta H} = e^{-2c}/(2 sinh 1).
+        # At c = -354.8 the integrand would peak at e^{709.6} ~ 1.5e308
+        for c in (-350.0, -354.8):
+            v = Potential.polynomial((c, 0.0, 0.5))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                upper = classical_partition(v, 2.0, 0.0, 1.0)
+                lower = classical_partition(v, 2.0, 2.0, 1.0)
+                z = spectral_partition(v, 2.0)
+            assert abs(upper / (math.exp(-2 * c) / 2) - 1) <= 1e-12
+            assert abs(lower / (math.exp(-2 * c - 1 / 6) / 2) - 1) <= 1e-12
+            assert abs(z / (math.exp(-2 * c) * SPECTRAL_HARMONIC) - 1) <= 1e-10
+
+    @pytest.mark.parametrize("beta_c", [600, 700, 708, 714, 718, 722])
+    def test_values_across_the_bottom_of_the_float_range(self, beta_c):
+        # c + q^2/2 at beta = 2: z(beta, 0) = e^{-beta c}/beta, z(beta, beta)
+        # = e^{-beta (c + s/2)}/beta with s = beta/12, and tr e^{-beta H} =
+        # e^{-beta c}/(2 sinh 1).  Each integral is taken from its own peak,
+        # so it keeps its precision down to the subnormals
+        v = Potential.polynomial((beta_c / 2, 0.0, 0.5))
+        for tau, want in [(0.0, math.exp(-beta_c) / 2),
+                          (2.0, math.exp(-(beta_c + 1 / 6)) / 2)]:
+            z = classical_partition(v, 2.0, tau, 1.0)
+            assert abs(z - want) <= max(1e-12 * want, 4 * 2.0 ** -1074)
+        want = math.exp(-beta_c) * SPECTRAL_HARMONIC
+        if want >= sys.float_info.min:
+            assert abs(spectral_partition(v, 2.0) / want - 1) <= 1e-10
 
     @pytest.mark.parametrize("c", [0.0, 400.0])
     def test_constant_potential_diverges(self, c):
@@ -545,6 +561,23 @@ class TestMonteCarlo:
         est, stderr = fk_mc_partition(HARMONIC, 2.0, n_paths=20_000, seed=11)
         assert stderr > 0
         assert abs(est - SPECTRAL_HARMONIC) < 5 * stderr
+
+    def test_estimate_near_the_largest_float(self):
+        # c = -350: Y_k ~ e^{700}, and 100k of them sum past the largest float
+        v = Potential.polynomial((-350.0, 0.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est, stderr = fk_mc_partition(v, 2.0)
+        assert abs(est - math.exp(700.0) * SPECTRAL_HARMONIC) < 5 * stderr
+
+    @pytest.mark.parametrize("v", [(-357.5, 0.0, 0.5), (-357.5, 0.0, 0.0, 0.0, 0.25)],
+                             ids=["closed_form", "grid"])
+    def test_path_value_past_the_float_range_raises(self, v):
+        # min A_k ~ -715: a ValueError, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="outside the float range"):
+                fk_mc_partition(Potential.polynomial(v), 2.0, n_paths=1000)
 
     def test_deterministic_in_seed(self):
         a = fk_mc_partition(HARMONIC, 2.0, n_paths=5_000, seed=4)
