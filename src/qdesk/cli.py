@@ -89,7 +89,7 @@ def _run_wigner(cfg: RunConfig):
     husimi = ps.gauss_smooth(field, cfg.hbar / 2, cfg.hbar / 2)
     results = {
         "normalization": field.normalization(),
-        "max_abs": float(np.max(np.abs(field.values))),
+        "max_abs": float(max(field.values.max(), -field.values.min())),
         "position_marginal_error": q_err,
         "momentum_marginal_error": p_err,
         "husimi_min": float(husimi.values.min()),
@@ -274,10 +274,8 @@ def _flatten(prefix: str, obj, out: dict):
         out[prefix] = obj
 
 
-def emit(record: ReportRecord, fmt: str, path: str | None, force: bool,
+def emit(record: ReportRecord, fmt: str, path: str | None,
          field: ps.PhaseSpaceField | None = None) -> str:
-    if path and os.path.exists(path) and not force:
-        raise FileExistsError(f"refusing to overwrite {path} without --force")
     if fmt == "csv" and field is not None:
         if not path:
             raise ValueError("csv field output requires --out")
@@ -324,12 +322,12 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
+    if args.out and os.path.exists(args.out) and not args.force:
+        print(f"refusing to overwrite {args.out} without --force", file=sys.stderr)
+        return 2
     try:
         record, ps_field = run(cfg)
-        output = emit(record, args.format, args.out, args.force, ps_field)
-    except FileExistsError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        output = emit(record, args.format, args.out, ps_field)
     except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

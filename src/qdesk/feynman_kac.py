@@ -200,7 +200,7 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                 qc[:, i - j] += ci * math.comb(i, j) * s[j]
         if gaussian:
             a0, a1, a2 = qc.T
-            return np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
+            return np.sqrt(np.pi / a2) / lam * np.exp(a1 ** 2 / (4 * a2) - a0)
         action = _serial_matmul(qc, qpow, a["action"])
         weights, low = _peak_weights(action, out=action)  # floored, in place
         return weights.sum(axis=1) * (np.exp(-low) * scale)

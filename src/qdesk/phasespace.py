@@ -43,10 +43,11 @@ O(n^2 log n) time and O(n^2) memory.
   ihfft yields the rows d = 0..n/2 and conjugation the rest.  Odd rows
   move half a step along q.
 - Gaussian smoothing transforms along q, the contiguous axis, in full and
-  along p only on the q-band: the q-frequencies up to the last whose
-  Gaussian factor, normalized to 1 at frequency 0, exceeds 2^-52.  The
-  rest are set to 0, which moves each value by at most 2^-52 times the
-  root sum of squares of the field (Cauchy-Schwarz and Parseval).
+  keeps only the q-band: the q-frequencies up to the last whose Gaussian
+  factor, normalized to 1 at frequency 0, exceeds 2^-52.  The p-transforms
+  run in place on it, and the inverse real FFT along q zero-pads the rest.
+  Dropping them moves each value by at most 2^-52 times the root sum of
+  squares of the field (Cauchy-Schwarz and Parseval).
 """
 
 from __future__ import annotations
@@ -484,16 +485,14 @@ _SMOOTH_FLOOR = 2.0 ** -52
 def _smooth_band(values: np.ndarray, p_factor: np.ndarray,
                  q_band: np.ndarray) -> np.ndarray:
     """Real field ``values`` times p_factor (n x 1) and q_band in the
-    Fourier domain, with q-frequencies past len(q_band) set to 0."""
-    keep = len(q_band)
-    spectrum = np.fft.rfft(values, axis=1)
-    band = spectrum[:, :keep]
+    Fourier domain, q-frequencies past len(q_band) dropped: only the band
+    is copied out of the q-spectrum, and irfft zero-pads the rest."""
+    band = np.fft.rfft(values, axis=1)[:, :len(q_band)].copy()
     np.fft.fft(band, axis=0, out=band)
     band *= p_factor
     band *= q_band
     np.fft.ifft(band, axis=0, out=band)
-    spectrum[:, keep:] = 0
-    return np.fft.irfft(spectrum, values.shape[1], axis=1)
+    return np.fft.irfft(band, values.shape[1], axis=1)
 
 
 def gauss_smooth(w: PhaseSpaceField, sp2: float, sq2: float) -> PhaseSpaceField:
@@ -503,7 +502,7 @@ def gauss_smooth(w: PhaseSpaceField, sp2: float, sq2: float) -> PhaseSpaceField:
     The Gaussian is separable, so its transform is the product of a
     p-factor and a q-factor, each normalized to 1 at frequency 0.  The field
     is transformed along q in full, and along p only on the q-frequencies
-    up to the last whose factor exceeds 2^-52; the rest are set to 0.  That
+    up to the last whose factor exceeds 2^-52; the rest are dropped.  That
     moves each value by at most 2^-52 ||W||_2, the root sum of squares of
     the n^2 values (sum W^2 is about n for a pure state).  A complex field
     is smoothed by linearity, S(Re w) + i S(Im w), the second term only when

@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdesk import cli
@@ -78,6 +80,18 @@ class TestScenarios:
         code, out = run_cli(capsys, "--scenario", "bell")
         assert code == 0
         assert calls == [json.loads(out)["results"]["chsh_value"]]
+
+    def test_wigner_peak_allocation_within_budget(self):
+        # the field, the Husimi field and the smoothing's q-band: neither
+        # |W| nor the full q-spectrum is held beside both fields
+        tracemalloc.start()
+        try:
+            record, field = cli.run(cli.RunConfig(scenario="wigner", grid_n=1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * field.values.nbytes
+        assert record.results["max_abs"] == float(np.max(np.abs(field.values)))
 
     def test_mermin_search_empty(self, capsys):
         code, out = run_cli(capsys, "--scenario", "mermin")
@@ -185,12 +199,16 @@ class TestOutputs:
         payload = json.loads(path.read_text())
         assert payload["scenario"] == "bell"
 
-    def test_refuses_overwrite_without_force(self, capsys, tmp_path):
+    def test_refuses_overwrite_without_force(self, capsys, tmp_path, monkeypatch):
+        # refused before the scenario runs, not after
+        ran = []
+        monkeypatch.setitem(cli.SCENARIOS, "bell", lambda cfg: ran.append(cfg))
         path = tmp_path / "report.json"
         path.write_text("{}")
-        code, _ = run_cli(capsys, "--scenario", "bell", "--out", str(path))
-        assert code == 2
+        assert cli.main(["--scenario", "bell", "--out", str(path)]) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
         assert path.read_text() == "{}"
+        assert ran == []
 
     def test_force_overwrites(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -258,21 +276,18 @@ class TestExitCodes:
         assert cli.main(["--scenario", "fk", "--potential=-357.5,0,0.5"]) == 2
         assert "outside the float range" in capsys.readouterr().err
 
-    def test_trace_near_the_largest_float_exits_0(self, capsys):
-        # Z = e^{700}/(2 sinh 1) ~ 4.3e303: the default 100k path values of
-        # ~e^{700} are averaged without their sum passing the largest float
-        code, out = run_cli(capsys, "--scenario", "fk", "--potential=-350,0,0.5")
+    @pytest.mark.parametrize("argv", [
+        ("--potential=-350,0,0.5",),
+        ("--paths", "2000", "--potential=-354.8,0,0.5")], ids=["z4e303", "z6e307"])
+    def test_trace_near_the_largest_float_exits_0(self, capsys, argv):
+        # c = -350: Z = e^{700}/(2 sinh 1) ~ 4.3e303, and the default 100k
+        # path values of ~e^{700} are averaged without their sum passing the
+        # largest float.  c = -354.8: Z = e^{709.6}/(2 sinh 1) ~ 6.4e307, and
+        # the Gaussian closed form of a path value divides sqrt(pi/a_2) =
+        # 1.77 by lambda = 3.54 before it multiplies in e^{709.6}
+        code, out = run_cli(capsys, "--scenario", "fk", *argv)
         assert code == 0
         assert math.isfinite(json.loads(out)["results"]["mc_estimate"])
-
-    def test_path_value_past_the_largest_float_exits_2(self, capsys):
-        # Z = e^{709.6}/(2 sinh 1) ~ 6.4e307 is a float, and so are both
-        # bounds, but the Gaussian closed form of a path value multiplies
-        # sqrt(pi/a_2) = 1.77 into e^{709.6} before it divides by lambda =
-        # 3.54, and that product passes the largest float
-        assert cli.main(["--scenario", "fk", "--paths", "2000",
-                         "--potential=-354.8,0,0.5"]) == 2
-        assert "a path value overflows" in capsys.readouterr().err
 
     def test_subnormal_trace_keeps_its_sandwich(self, capsys):
         # beta E_0 = 719: each reference is summed from its own peak, so the

@@ -313,8 +313,9 @@ class TestHusimi:
             gauss_smooth(w, sp2, sq2)
 
     def test_peak_allocation_within_budget(self):
-        # the q-spectrum (about one field of bytes) and the returned field;
-        # the p-transforms run in place on its q-band
+        # the q-band of the spectrum, which the p-transforms run on in
+        # place, and at most one field of bytes besides: the full q-spectrum
+        # while the band is copied out of it, then the returned field
         spec = GridSpec(n=1024, length=32.0)
         w = wigner_transform(gaussian_packet(spec, alpha2=1.0))
         tracemalloc.start()
@@ -323,7 +324,7 @@ class TestHusimi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * w.values.nbytes
+        assert peak <= 1.5 * w.values.nbytes
 
 
 class TestQuantization:
