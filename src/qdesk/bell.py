@@ -18,7 +18,7 @@ from .operators import DensityOperator, HermitianOperator, commutator, partial_t
 from .spin import PAULI, SX, SY, SZ, _ID2, _pauli_sum, _unit
 
 __all__ = [
-    "CHSHConfig", "EntropyTriangleReport", "MagicSquare",
+    "CHSHConfig", "EntropyTriangleReport",
     "singlet", "bell_states", "entropy_triangle",
     "chsh_operator", "chsh_value", "werner_state",
     "classical_chsh_enumeration", "mermin_square", "mermin_assignment_search",
@@ -131,34 +131,22 @@ def classical_chsh_enumeration() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MagicSquare:
-    """The fixed 3x3 array of two-qubit spin products.
+def mermin_square() -> tuple[tuple, dict]:
+    """The 3x3 array of two-qubit spin products and its residuals, each 0
+    in exact arithmetic and judged by the caller.
 
-    Every entry squares to the identity; entries commute along each row and
-    each column; row products are +I, column products are (+I, +I, -I).
-    """
-
-    grid: tuple  # 3x3 nested tuple of 4x4 arrays
-
-    def __post_init__(self):
-        for row in self.grid:
-            for m in row:
-                if np.max(np.abs(m @ m - _ID4)) > 1e-12:
-                    raise ValueError("magic-square entry does not square to identity")
-        for ops in list(self.grid) + list(zip(*self.grid)):
-            for x, y in itertools.combinations(ops, 2):
-                if np.max(np.abs(commutator(x, y))) > 1e-12:
-                    raise ValueError("magic-square line is not a commuting context")
-
-
-def mermin_square() -> tuple[MagicSquare, dict]:
+    The parity argument's premises: every entry squares to the identity
+    (``square_residual``, the largest |M^2 - I|) and the entries along each
+    row and each column commute (``commutator_residual``, the largest
+    |[x, y]|).  Its products: each row multiplies to +I
+    (``row_<i>_residual``), the columns to +I, +I and -I
+    (``col_<j>_residual``)."""
     grid = (
         (tensor(SX, _ID2), tensor(_ID2, SX), tensor(SX, SX)),
         (tensor(_ID2, SY), tensor(SY, _ID2), tensor(SY, SY)),
         (tensor(SX, SY), tensor(SY, SX), tensor(SZ, SZ)),
     )
-    sq = MagicSquare(grid=grid)
+    cols = list(zip(*grid))
 
     def _prod(ops):
         out = _ID4
@@ -166,14 +154,19 @@ def mermin_square() -> tuple[MagicSquare, dict]:
             out = out @ m
         return out
 
-    report = {}
+    report = {
+        "square_residual": max(float(np.max(np.abs(m @ m - _ID4)))
+                               for row in grid for m in row),
+        "commutator_residual": max(
+            float(np.max(np.abs(commutator(x, y))))
+            for ops in grid + tuple(cols) for x, y in itertools.combinations(ops, 2)),
+    }
     for i, row in enumerate(grid):
         report[f"row_{i}_residual"] = float(np.max(np.abs(_prod(row) - _ID4)))
-    cols = list(zip(*grid))
     for j, col in enumerate(cols[:2]):
         report[f"col_{j}_residual"] = float(np.max(np.abs(_prod(col) - _ID4)))
     report["col_2_residual"] = float(np.max(np.abs(_prod(cols[2]) + _ID4)))
-    return sq, report
+    return grid, report
 
 
 def mermin_assignment_search(column_targets=(1, 1, -1)) -> dict:

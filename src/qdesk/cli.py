@@ -44,9 +44,9 @@ def _bell_state(cfg: RunConfig) -> op.DensityOperator:
     raise ValueError(f"unknown state {name!r} (singlet, mixed, werner:<x>)")
 
 
-def _packet(cfg: RunConfig, gamma: float = 0.3) -> ps.GridWavefunction:
+def _packet(cfg: RunConfig) -> ps.GridWavefunction:
     spec = ps.GridSpec(cfg.grid_n, cfg.grid_length, cfg.hbar)
-    return ps.gaussian_packet(spec, alpha2=1.0, gamma=gamma)
+    return ps.gaussian_packet(spec, alpha2=1.0, gamma=0.3)
 
 
 def _random_hermitian(dim: int, rng: np.random.Generator) -> op.HermitianOperator:
@@ -61,6 +61,7 @@ def _run_inin(cfg: RunConfig):
     a, b = (_random_hermitian(dim, rng) for _ in range(2))
     rep = moments(w, a, b, hbar=cfg.hbar)
     return dataclasses.asdict(rep), {
+        "variances_nonnegative": min(rep.var_a, rep.var_b) >= -1e-12,
         "inin_holds": rep.inin_lhs >= rep.inin_rhs - 1e-9}, None
 
 
@@ -111,6 +112,7 @@ def _run_fk(cfg: RunConfig):
     results = dataclasses.asdict(report)
     sref = report.spectral_reference
     checks = {
+        "bounds_ordered": report.z_lower <= report.z_upper + 1e-12,
         "sandwich_holds": report.z_lower - 1e-8 <= sref <= report.z_upper + 1e-8,
         "mc_within_3_stderr":
             abs(report.mc_estimate - sref) <= 3 * report.mc_stderr,
@@ -277,8 +279,6 @@ def _flatten(prefix: str, obj, out: dict):
 def emit(record: ReportRecord, fmt: str, path: str | None,
          field: ps.PhaseSpaceField | None = None) -> str:
     if fmt == "csv" and field is not None:
-        if not path:
-            raise ValueError("csv field output requires --out")
         field.to_csv(path)
         return f"wrote phase-space field to {path}"
     if fmt == "json":
@@ -324,6 +324,10 @@ def main(argv=None) -> int:
         return 2
     if args.out and os.path.exists(args.out) and not args.force:
         print(f"refusing to overwrite {args.out} without --force", file=sys.stderr)
+        return 2
+    if args.format == "csv" and not args.out and cfg.scenario == "wigner":
+        # the one scenario whose artifact is a phase-space field
+        print("invalid config: csv field output requires --out", file=sys.stderr)
         return 2
     try:
         record, ps_field = run(cfg)

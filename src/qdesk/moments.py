@@ -44,10 +44,6 @@ class MomentReport:
     inin_lhs: float
     inin_rhs: float
 
-    def __post_init__(self):
-        if self.var_a < -1e-12 or self.var_b < -1e-12:
-            raise ValueError("negative variance beyond numerical floor")
-
 
 def expectation(w: DensityOperator, a) -> float:
     """tr(WA), with a guard on the imaginary rounding residue."""
@@ -62,7 +58,10 @@ def expectation(w: DensityOperator, a) -> float:
 
 def moments(w: DensityOperator, a, b, hbar: float = 1.0) -> MomentReport:
     """Means, variances, covariance, correlation and both sides of the
-    variance indeterminacy inequality for a pair of observables."""
+    variance indeterminacy inequality for a pair of observables.
+
+    A variance in (-1e-12, 0) is rounding and is reported as 0; one at or
+    below -1e-12 is reported as it is, for the caller's check to judge."""
     _require_positive(hbar=hbar)
     am, bm = _as_matrix(a), _as_matrix(b)
     mean_a = expectation(w, am)

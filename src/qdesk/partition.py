@@ -306,21 +306,18 @@ def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
 
 
 def monotonicity_check(v: Potential, beta: float, m: float = 1.0,
-                       hbar: float = 1.0, tau_grid=None) -> dict:
-    """z(beta, .) along tau_grid, strict-decrease flags, and the derivative
-    identity dz/dtau = -(beta lambda / 48 pi) int dq e^{-beta v_tau} (v_tau')^2
-    checked against a central difference at interior points."""
-    if tau_grid is None:
-        tau_grid = [0.0, beta / 4, beta / 2, 3 * beta / 4, beta]
-    tau_grid = [float(t) for t in tau_grid]
+                       hbar: float = 1.0) -> dict:
+    """z(beta, .) at tau = 0, beta/4, beta/2, 3 beta/4 and beta, the
+    strict-decrease flag, and the derivative identity
+    dz/dtau = -(beta lambda / 48 pi) int dq e^{-beta v_tau} (v_tau')^2
+    checked against a central difference at the three interior points."""
+    tau_grid = [float(t) for t in (0.0, beta / 4, beta / 2, 3 * beta / 4, beta)]
     z = [classical_partition(v, beta, t, m, hbar) for t in tau_grid]
     decreasing = all(z[i] > z[i + 1] for i in range(len(z) - 1))
 
     lam = _thermal_lambda(beta, m, hbar)
     derivative_errors = []
-    for t in tau_grid:
-        if t <= 0 or t >= beta:
-            continue
+    for t in tau_grid[1:-1]:
         vt = gauss_transform_potential(v, t, m, hbar)
         q, weights, low = _boltzmann_integrand(vt, beta)
         integral = float(np.trapezoid(weights * vt.derivative()(q) ** 2, q))

@@ -34,9 +34,9 @@ _ANTISYMMETRY_TOL = 1e-10  # |m(e) + m(-e)| a sphere measure may have
 _FIT_DIRECTIONS = 200  # sampled directions in linear_fit_residual
 
 
-def _sgn(x: float) -> float:
-    """Sign with the convention sgn(0) = 1."""
-    return 1.0 if x >= 0 else -1.0
+def _sgn(x):
+    """Elementwise sign with the convention sgn(0) = 1."""
+    return np.where(x >= 0, 1.0, -1.0)
 
 
 def _pauli_sum(c0: float, v) -> np.ndarray:
@@ -153,13 +153,18 @@ def linear_fit_residual(mfn: SphereMeasureFn, seed: int = 0) -> float:
     return float(np.sqrt(np.mean((dirs @ p - vals) ** 2)))
 
 
+def _hv_values(obs: SpinObservable, state: BlochState, omegas: np.ndarray):
+    """The hidden-variable value a0 + |a| sgn((p + omega) . a) at each unit
+    vector omega, the last axis of ``omegas``."""
+    a = np.asarray(obs.a_vec, dtype=float)
+    p = np.asarray(state.p_vec, dtype=float)
+    return obs.a0 + obs.radius * _sgn((omegas + p) @ a)
+
+
 def hv_value(obs: SpinObservable, state: BlochState, omega) -> float:
     """Hidden-variable value a0 + |a| sgn((p + omega) . a); always one of
     the two eigenvalues a0 +- |a|."""
-    om = _unit(omega, "omega")
-    a = np.asarray(obs.a_vec, dtype=float)
-    p = np.asarray(state.p_vec, dtype=float)
-    return obs.a0 + obs.radius * _sgn(float((p + om) @ a))
+    return float(_hv_values(obs, state, _unit(omega, "omega")))
 
 
 def sample_sphere(n: int, seed: int) -> np.ndarray:
@@ -180,14 +185,8 @@ def hv_analytic_expectation(obs: SpinObservable, state: BlochState) -> float:
     if r == 0.0:
         return obs.a0
     c = float(np.asarray(state.p_vec) @ a) / r  # component of p along a-hat
-    # (1/2) * integral_{-1}^{1} sgn(c + u) du, done piecewise
-    if c >= 1.0:
-        avg = 1.0
-    elif c <= -1.0:
-        avg = -1.0
-    else:
-        avg = c
-    return obs.a0 + r * avg
+    # (1/2) * integral_{-1}^{1} sgn(c + u) du is c clipped to [-1, 1]
+    return obs.a0 + r * min(max(c, -1.0), 1.0)
 
 
 def hv_expectation(obs: SpinObservable, state: BlochState,
@@ -196,11 +195,7 @@ def hv_expectation(obs: SpinObservable, state: BlochState,
     closed-form value alongside."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    om = sample_sphere(n_samples, seed)
-    a = np.asarray(obs.a_vec, dtype=float)
-    p = np.asarray(state.p_vec, dtype=float)
-    proj = (om + p) @ a
-    vals = obs.a0 + obs.radius * np.where(proj >= 0, 1.0, -1.0)
+    vals = _hv_values(obs, state, sample_sphere(n_samples, seed))
     est = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return {

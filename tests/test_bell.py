@@ -131,6 +131,13 @@ class TestMermin:
         for key, val in report.items():
             assert val < 1e-12, key
 
+    def test_grid_and_premises(self):
+        # a plain 3x3 tuple of 4x4 entries; the residuals state the premises
+        grid, report = mermin_square()
+        assert [len(row) for row in grid] == [3, 3, 3]
+        assert all(m.shape == (4, 4) for row in grid for m in row)
+        assert {"square_residual", "commutator_residual"} <= set(report)
+
     def test_no_classical_assignment(self):
         res = mermin_assignment_search()
         assert res["satisfying_assignments"] == 0

@@ -235,6 +235,15 @@ class TestOutputs:
         assert len(lines) == 2
         assert len(lines[0].split(",")) == len(lines[1].split(","))
 
+    def test_csv_field_without_out_refused_before_running(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli.SCENARIOS, "wigner", lambda cfg: ran.append(cfg))
+        assert cli.main(["--scenario", "wigner", "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid config: csv field output requires --out" in captured.err
+        assert captured.out == ""
+        assert ran == []
+
     def test_wigner_csv_field(self, capsys, tmp_path):
         path = tmp_path / "field.csv"
         code, _ = run_cli(capsys, "--scenario", "wigner", "--grid-n", "128",
@@ -266,6 +275,21 @@ class TestExitCodes:
     def test_bad_state_exits_2(self, capsys):
         code, _ = run_cli(capsys, "--scenario", "bell", "--state", "ghz")
         assert code == 2
+
+    def test_mixed_state_obeys_chsh_and_exits_1(self, capsys):
+        code, out = run_cli(capsys, "--scenario", "bell", "--state", "mixed")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["results"]["chsh_value"] == 0.0
+        assert payload["checks"]["chsh_violated"] is False
+        assert payload["checks"]["tsirelson_pass"] is True
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--seed", "-1"), "seed must fit in 64 unsigned bits"),
+        (("--paths", "1"), "paths must be at least 2")], ids=["seed", "paths"])
+    def test_out_of_range_count_exits_2(self, capsys, argv, message):
+        assert cli.main(["--scenario", "hv", *argv]) == 2
+        assert f"invalid config: {message}" in capsys.readouterr().err
 
     def test_zero_slices_exits_2(self, capsys):
         assert cli.main(["--scenario", "fk", "--slices", "0"]) == 2
@@ -353,6 +377,37 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--scenario", "fk", *FAST_ARGS["fk"])
         assert code == 1
         assert json.loads(out)["checks"]["sandwich_holds"] is False
+
+    def test_bounds_out_of_order_exit_1(self, capsys, monkeypatch):
+        # a z(beta, beta) above z(beta, 0) is a failed check, not a raise
+        original = cli.fk.classical_partition
+        monkeypatch.setattr(cli.fk, "classical_partition",
+                            lambda v, beta, tau, *args: (1 + 2 * (tau > 0))
+                            * original(v, beta, tau, *args))
+        code, out = run_cli(capsys, "--scenario", "fk", *FAST_ARGS["fk"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["results"]["z_lower"] > payload["results"]["z_upper"]
+        assert payload["checks"]["bounds_ordered"] is False
+
+    def test_negative_variance_exits_1(self, capsys, monkeypatch):
+        original = cli.moments
+        monkeypatch.setattr(cli, "moments", lambda *args, **kw: dataclasses.replace(
+            original(*args, **kw), var_a=-0.1))
+        code, out = run_cli(capsys, "--scenario", "inin")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["results"]["var_a"] == -0.1
+        assert payload["checks"]["variances_nonnegative"] is False
+
+    def test_magic_square_premise_failure_exits_1(self, capsys, monkeypatch):
+        # with 1.1 SY the entries holding SY no longer square to I
+        monkeypatch.setattr(cli.bl, "SY", 1.1 * cli.bl.SY)
+        code, out = run_cli(capsys, "--scenario", "mermin")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["results"]["square_residual"] > 1e-12
+        assert payload["checks"]["square_residual"] is False
 
     def test_indeterminacy_violation_exits_1(self, capsys, monkeypatch):
         module = sys.modules["qdesk.moments"]

@@ -456,6 +456,11 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match="m_slices must be at least 1"):
             fk_mc_partition(HARMONIC, 2.0, m_slices=m_slices, n_paths=100)
 
+    def test_fk_mc_partition_rejects_one_path(self):
+        # one path has no sample deviation, so no stderr
+        with pytest.raises(ValueError, match="n_paths must be at least 2"):
+            fk_mc_partition(HARMONIC, 2.0, n_paths=1)
+
     @pytest.mark.parametrize("beta,m,hbar,name", [
         (math.nan, 1.0, 1.0, "beta"), (2.0, math.inf, 1.0, "m"),
         (2.0, 1.0, math.nan, "hbar")])
@@ -478,6 +483,11 @@ class TestParameterChecks:
         # path -1 would be row 511 of block -1
         with pytest.raises(ValueError, match="path_index must be nonnegative"):
             sample_bridge(2.0, 8, path_index=-1)
+
+    def test_sample_bridge_rejects_one_slice(self):
+        # a pinned bridge of one slice has no interior point to draw
+        with pytest.raises(ValueError, match="m_slices must be at least 2"):
+            sample_bridge(2.0, 1)
 
     @pytest.mark.parametrize("m,hbar,name", [(math.nan, 1.0, "m"),
                                              (1.0, math.inf, "hbar")])

@@ -7,6 +7,7 @@ from qdesk.spin import (
     BlochState,
     SphereMeasureFn,
     SpinObservable,
+    _hv_values,
     _sgn,
     hv_analytic_expectation,
     hv_consistency,
@@ -92,6 +93,7 @@ class TestSphereMeasure:
         assert _sgn(0.0) == 1.0
         assert _sgn(1e-30) == 1.0
         assert _sgn(-1e-30) == -1.0
+        assert _sgn(np.array([-1e-30, 0.0, 1e-30])).tolist() == [-1.0, 1.0, 1.0]
 
     def test_measure_eval_range(self):
         mfn = SphereMeasureFn(lambda e: _sgn(e[2]))
@@ -127,6 +129,39 @@ class TestHiddenVariable:
         res = hv_expectation(obs, state, n_samples=200_000, seed=17)
         assert abs(res["estimate"] - res["analytic"]) < 4 * res["stderr"]
         assert abs(res["analytic"] - hv_analytic_expectation(obs, state)) < 1e-14
+
+    def test_hv_value_and_expectation_share_the_rule(self):
+        obs = SpinObservable(0.3, np.array([1.0, -2.0, 0.5]))
+        state = BlochState(np.array([0.1, 0.2, -0.3]))
+        omegas = sample_sphere(1000, seed=4)
+        vals = _hv_values(obs, state, omegas)
+        assert [hv_value(obs, state, om) for om in omegas] == vals.tolist()
+        res = hv_expectation(obs, state, n_samples=1000, seed=4)
+        assert res["estimate"] == float(np.mean(vals))
+
+    def test_hv_value_on_the_boundary_is_the_upper_eigenvalue(self):
+        # (p + omega) . a = 0 exactly: sgn(0) = 1
+        obs = SpinObservable(0.25, np.array([0.0, 0.0, 2.0]))
+        state = BlochState(np.array([0.0, 0.0, 0.0]))
+        assert hv_value(obs, state, np.array([1.0, 0.0, 0.0])) == 2.25
+
+    @pytest.mark.parametrize("a_vec,p_vec,expected", [
+        ((0.0, 0.0, 0.0), (0.3, -0.2, 0.5), 0.7),
+        ((0.0, 0.0, 2.0), (0.0, 0.0, 1.0), 2.7),
+        ((0.0, 0.0, 2.0), (0.0, 0.0, 1.0 + 5e-13), 2.7),
+        ((0.0, 3.0, 0.0), (0.0, -1.0, 0.0), -2.3),
+        ((0.0, 3.0, 0.0), (0.0, -1.0 - 5e-13, 0.0), -2.3),
+    ], ids=["zero_radius", "c_one", "c_above_one", "c_minus_one", "c_below_minus_one"])
+    def test_analytic_expectation_at_the_ends(self, a_vec, p_vec, expected):
+        # a0 + |a| clip(c, -1, 1) with c = p . a / |a|: a0 itself at a = 0,
+        # and at a pure state along +-a the eigenvalue a0 +- |a|, not beyond
+        obs = SpinObservable(0.7, np.array(a_vec))
+        assert hv_analytic_expectation(obs, BlochState(np.array(p_vec))) == expected
+
+    def test_expectation_rejects_no_samples(self):
+        obs = SpinObservable(0.0, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            hv_expectation(obs, BlochState(np.zeros(3)), n_samples=0, seed=0)
 
     def test_hv_expectation_deterministic(self):
         obs = SpinObservable(0.0, np.array([1.0, 0.0, 0.0]))
