@@ -42,12 +42,14 @@ O(n^2 log n) time and O(n^2) memory.
   s = k + k' of parity d.  A real symbol gives a Hermitian kernel, so
   ihfft yields the rows d = 0..n/2 and conjugation the rest.  Odd rows
   move half a step along q.
-- Gaussian smoothing transforms along q, the contiguous axis, in full and
-  keeps only the q-band: the q-frequencies up to the last whose Gaussian
-  factor, normalized to 1 at frequency 0, exceeds 2^-52.  The p-transforms
-  run in place on it, and the inverse real FFT along q zero-pads the rest.
-  Dropping them moves each value by at most 2^-52 times the root sum of
-  squares of the field (Cauchy-Schwarz and Parseval).
+- Gaussian smoothing transforms along q, the contiguous axis, in row
+  blocks and keeps only the q-band: the q-frequencies up to the last whose
+  Gaussian factor, normalized to 1 at frequency 0, exceeds 2^-52.  The
+  p-transforms run in place on it, and the inverse real FFT along q
+  zero-pads the rest, again in row blocks.  So the wigner scenario takes
+  the Husimi minimum at about 1.4 fields of memory, and to_csv holds one
+  row.  Dropping them moves each value by at most 2^-52 times the root
+  sum of squares of the field (Cauchy-Schwarz and Parseval).
 """
 
 from __future__ import annotations
@@ -155,11 +157,11 @@ class PhaseSpaceField:
         """Rows "p,q,value" with each float's repr, p outer and q inner."""
         p = [repr(x) for x in self.spec.momentum_grid().tolist()]
         q = [repr(x) for x in self.spec.position_grid().tolist()]
-        rows = np.asarray(self.values.real, dtype=float).tolist()
         with open(path, "w") as fh:
             fh.write("p,q,value\n")
-            for pv, row in zip(p, rows):
-                fh.write("".join([f"{pv},{qv},{v!r}\n" for qv, v in zip(q, row)]))
+            for pv, row in zip(p, self.values.real):  # one row of floats at a time
+                cells = zip(q, row.astype(float).tolist())
+                fh.write("".join([f"{pv},{qv},{v!r}\n" for qv, v in cells]))
 
 
 def gaussian_packet(spec: GridSpec, alpha2: float, gamma: float = 0.0,
@@ -298,8 +300,8 @@ def _half_step(values: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.ifft(f, axis=axis)
 
 
-# Cells per block of Wigner lags (1 MiB of complex128, 64 positions at
-# n = 1024): a block, its half-spectrum and its transform stay in L2 cache.
+# Cells per block of Wigner lags or of smoothed rows (1 MiB of complex128,
+# 64 rows at n = 1024): a block and its transforms stay in L2 cache.
 _LAG_BLOCK_CELLS = 1 << 16
 
 
@@ -482,17 +484,26 @@ def isometry_check(a_kernel: np.ndarray, b_kernel: np.ndarray, spec: GridSpec) -
 _SMOOTH_FLOOR = 2.0 ** -52
 
 
-def _smooth_band(values: np.ndarray, p_factor: np.ndarray,
-                 q_band: np.ndarray) -> np.ndarray:
-    """Real field ``values`` times p_factor (n x 1) and q_band in the
-    Fourier domain, q-frequencies past len(q_band) dropped: only the band
-    is copied out of the q-spectrum, and irfft zero-pads the rest."""
-    band = np.fft.rfft(values, axis=1)[:, :len(q_band)].copy()
+def _smoothed_rows(values: np.ndarray, spec: GridSpec, sp2: float, sq2: float,
+                   out: np.ndarray | None = None):
+    """Yield the real field ``values`` convolved with the product Gaussian of
+    variances (sp2, sq2) in row blocks, written into ``out`` when given.
+    Only the q-band of the spectrum is held; irfft zero-pads the rest."""
+    n, step = spec.n, max(1, _LAG_BLOCK_CELLS // spec.n)
+    gp = np.fft.ifftshift(np.exp(-spec.momentum_grid() ** 2 / (2 * sp2)))
+    gq = np.fft.ifftshift(np.exp(-spec.position_grid() ** 2 / (2 * sq2)))
+    q_factor = np.fft.rfft(gq) / gq.sum()
+    q_band = q_factor[:np.flatnonzero(np.abs(q_factor) > _SMOOTH_FLOOR)[-1] + 1]
+    blocks = [slice(k0, k0 + step) for k0 in range(0, n, step)]
+    band = np.empty((n, len(q_band)), dtype=np.result_type(values, np.complex64))
+    for rows in blocks:
+        band[rows] = np.fft.rfft(values[rows], axis=1)[:, :len(q_band)]
     np.fft.fft(band, axis=0, out=band)
-    band *= p_factor
+    band *= np.fft.fft(gp)[:, None] / gp.sum()
     band *= q_band
     np.fft.ifft(band, axis=0, out=band)
-    return np.fft.irfft(band, values.shape[1], axis=1)
+    for rows in blocks:
+        yield np.fft.irfft(band[rows], n, axis=1, out=None if out is None else out[rows])
 
 
 def gauss_smooth(w: PhaseSpaceField, sp2: float, sq2: float) -> PhaseSpaceField:
@@ -501,25 +512,23 @@ def gauss_smooth(w: PhaseSpaceField, sp2: float, sq2: float) -> PhaseSpaceField:
 
     The Gaussian is separable, so its transform is the product of a
     p-factor and a q-factor, each normalized to 1 at frequency 0.  The field
-    is transformed along q in full, and along p only on the q-frequencies
-    up to the last whose factor exceeds 2^-52; the rest are dropped.  That
-    moves each value by at most 2^-52 ||W||_2, the root sum of squares of
-    the n^2 values (sum W^2 is about n for a pure state).  A complex field
-    is smoothed by linearity, S(Re w) + i S(Im w), the second term only when
-    Im w is nonzero.  Variances must be finite and positive.
+    is transformed along q in row blocks, and along p only on the
+    q-frequencies up to the last whose factor exceeds 2^-52; the rest are
+    dropped.  That moves each value by at most 2^-52 ||W||_2, the root sum
+    of squares of the n^2 values (sum W^2 is about n for a pure state).  A
+    complex field is smoothed by linearity, S(Re w) + i S(Im w), the second
+    term only when Im w is nonzero.  Variances must be finite and positive.
     """
     _require_positive(sp2=sp2, sq2=sq2)
-    spec = w.spec
-    gp = np.fft.ifftshift(np.exp(-spec.momentum_grid() ** 2 / (2 * sp2)))
-    gq = np.fft.ifftshift(np.exp(-spec.position_grid() ** 2 / (2 * sq2)))
-    p_factor = np.fft.fft(gp)[:, None] / gp.sum()
-    q_factor = np.fft.rfft(gq) / gq.sum()
-    q_band = q_factor[:np.flatnonzero(np.abs(q_factor) > _SMOOTH_FLOOR)[-1] + 1]
     values = w.values
-    smoothed = _smooth_band(values.real, p_factor, q_band)
-    if np.iscomplexobj(values) and np.any(values.imag):
-        smoothed = smoothed + 1j * _smooth_band(values.imag, p_factor, q_band)
-    return PhaseSpaceField(spec, smoothed)
+    imag = bool(np.iscomplexobj(values) and np.any(values.imag))
+    smoothed = np.empty(values.shape, np.result_type(values if imag else values.real,
+                                                     np.float32))
+    for part in ("real", "imag")[:1 + imag]:
+        for _ in _smoothed_rows(getattr(values, part), w.spec, sp2, sq2,
+                                out=getattr(smoothed, part)):
+            pass
+    return PhaseSpaceField(w.spec, smoothed)
 
 
 class QuadraticSymbol:
@@ -618,10 +627,12 @@ def _circulant(c: np.ndarray) -> np.ndarray:
 def grid_hamiltonian(spec: GridSpec, mass: float, potential) -> np.ndarray:
     """Sample-action matrix of P^2/(2m) + v(Q); real symmetric float64,
     eigensolve-ready.  ``potential`` takes the array of grid positions and
-    returns v at each.  p^2 is even on the grid, so its transform is real up
-    to rounding, which ``.real`` and the symmetrization drop."""
+    returns v at each.  p^2 is even on the grid, so its transform c is real
+    and even up to rounding, which ``.real`` and c[k] = c[-k] drop: the
+    circulant is symmetric as built."""
     p2 = spec.momentum_grid() ** 2 / (2 * mass)
-    h = _circulant(np.fft.ifft(np.fft.ifftshift(p2)).real)
+    c = np.fft.ifft(np.fft.ifftshift(p2)).real
+    h = _circulant(0.5 * (c + np.roll(c[::-1], 1)))
     q = spec.position_grid()
     h[np.diag_indices(spec.n)] += np.asarray(potential(q), dtype=float)
-    return 0.5 * (h + h.T)
+    return h

@@ -82,16 +82,24 @@ class TestScenarios:
         assert calls == [json.loads(out)["results"]["chsh_value"]]
 
     def test_wigner_peak_allocation_within_budget(self):
-        # the field, the Husimi field and the smoothing's q-band: neither
-        # |W| nor the full q-spectrum is held beside both fields
+        # the field, the smoothing's q-band and one block of smoothed rows:
+        # the Husimi minimum is taken block by block, so no second field
+        # (the Husimi density, |W| or the full q-spectrum) is ever held
         tracemalloc.start()
         try:
             record, field = cli.run(cli.RunConfig(scenario="wigner", grid_n=1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * field.values.nbytes
+        assert peak <= 1.5 * field.values.nbytes
         assert record.results["max_abs"] == float(np.max(np.abs(field.values)))
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    def test_wigner_husimi_min_is_the_smoothed_fields_minimum(self, hbar):
+        record, field = cli.run(cli.RunConfig(scenario="wigner", grid_n=512,
+                                              hbar=hbar))
+        husimi = cli.ps.gauss_smooth(field, hbar / 2, hbar / 2)
+        assert record.results["husimi_min"] == float(husimi.values.min())
 
     def test_mermin_search_empty(self, capsys):
         code, out = run_cli(capsys, "--scenario", "mermin")

@@ -286,7 +286,68 @@ class TestWignerLinearity:
         assert np.max(np.abs(got - wigner_transform(hermitian, SPEC).values)) <= 1e-15
 
 
+def full_spectrum_smooth(values, spec, sp2, sq2):
+    """gauss_smooth with whole-field transforms: the q-spectrum of every
+    row at once, its q-band copied out, and one inverse transform."""
+    gp = np.fft.ifftshift(np.exp(-spec.momentum_grid() ** 2 / (2 * sp2)))
+    gq = np.fft.ifftshift(np.exp(-spec.position_grid() ** 2 / (2 * sq2)))
+    q_factor = np.fft.rfft(gq) / gq.sum()
+    q_band = q_factor[:np.flatnonzero(np.abs(q_factor) > 2.0 ** -52)[-1] + 1]
+    band = np.fft.rfft(values, axis=1)[:, :len(q_band)].copy()
+    np.fft.fft(band, axis=0, out=band)
+    band *= np.fft.fft(gp)[:, None] / gp.sum()
+    band *= q_band
+    np.fft.ifft(band, axis=0, out=band)
+    return np.fft.irfft(band, spec.n, axis=1)
+
+
+# the phase_space benchmark's grids and the CLI's default one
+SMOOTH_GRIDS = [(512, 32.0, 1.0), (1024, 32.0, 0.5), (512, 32.0, 2.0),
+                (1024, 48.0, 2.0), (1024, 32.0, 1.0)]
+
+
 class TestHusimi:
+    @pytest.mark.parametrize("n,length,hbar", SMOOTH_GRIDS)
+    def test_row_blocks_bit_equal_to_full_transforms(self, n, length, hbar):
+        spec = GridSpec(n, length, hbar)
+        w = wigner_transform(gaussian_packet(spec, alpha2=1.0, gamma=0.3))
+        got = gauss_smooth(w, hbar / 2, hbar / 2).values
+        assert got.dtype == np.float64
+        assert got.tobytes() == full_spectrum_smooth(w.values, spec, hbar / 2,
+                                                     hbar / 2).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_field_bit_equal_by_linearity(self, dtype):
+        spec = GridSpec(512, 32.0, 1.0)
+        real = wigner_transform(gaussian_packet(spec, alpha2=1.0)).values
+        imag = np.random.default_rng(4).standard_normal((spec.n, spec.n))
+        values = (real + 1j * imag).astype(dtype)
+        got = gauss_smooth(PhaseSpaceField(spec, values), 0.3, 0.7).values
+        assert got.dtype == dtype
+        for part, ref_part in ((got.real, values.real), (got.imag, values.imag)):
+            ref = full_spectrum_smooth(ref_part, spec, 0.3, 0.7)
+            assert np.ascontiguousarray(part).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_real_dtypes_keep_full_transform_bits(self, dtype):
+        # a float32 field is smoothed in single precision, an integer one
+        # in double, as whole-field transforms do
+        spec = GridSpec(512, 32.0, 1.0)
+        w = wigner_transform(gaussian_packet(spec, alpha2=1.0, gamma=0.3))
+        values = (1000 * w.values).astype(dtype)
+        got = gauss_smooth(PhaseSpaceField(spec, values), 0.3, 0.7).values
+        ref = full_spectrum_smooth(values, spec, 0.3, 0.7)
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+    def test_blocks_cover_the_field_in_order(self):
+        spec = GridSpec(512, 32.0, 1.0)
+        w = wigner_transform(gaussian_packet(spec, alpha2=1.0, gamma=0.3))
+        blocks = list(phasespace._smoothed_rows(w.values, spec, 0.5, 0.5))
+        assert [len(b) for b in blocks] == [128] * 4
+        stacked = np.concatenate(blocks)
+        assert stacked.tobytes() == gauss_smooth(w, 0.5, 0.5).values.tobytes()
+
     def test_husimi_nonnegative(self):
         w = wigner_transform(excited_state(SPEC))
         h = gauss_smooth(w, SPEC.hbar / 2, SPEC.hbar / 2)
@@ -313,9 +374,9 @@ class TestHusimi:
             gauss_smooth(w, sp2, sq2)
 
     def test_peak_allocation_within_budget(self):
-        # the q-band of the spectrum, which the p-transforms run on in
-        # place, and at most one field of bytes besides: the full q-spectrum
-        # while the band is copied out of it, then the returned field
+        # the returned field, the q-band of the spectrum, which the
+        # p-transforms run on in place, and one block of rows: the full
+        # q-spectrum alone would take another field of bytes
         spec = GridSpec(n=1024, length=32.0)
         w = wigner_transform(gaussian_packet(spec, alpha2=1.0))
         tracemalloc.start()
@@ -485,7 +546,42 @@ class TestMoyal:
         assert res["max_abs_error"] < 1e-8
 
 
+def symmetrized_after_build(spec, mass, potential):
+    """The grid Hamiltonian built unsymmetric, circulant c[(k - k') mod n]
+    plus diag v, then symmetrized as (h + h^T)/2."""
+    k = np.arange(spec.n)
+    c = np.fft.ifft(np.fft.ifftshift(spec.momentum_grid() ** 2 / (2 * mass))).real
+    h = c[(k[:, None] - k[None, :]) % spec.n]
+    h[k, k] += potential(spec.position_grid())
+    return 0.5 * (h + h.T)
+
+
+POTENTIALS = {"harmonic": lambda q: 0.5 * q ** 2, "quartic": lambda q: q ** 4 / 4,
+              "double_well": lambda q: -5 * q ** 2 + q ** 4 / 4}
+
+
 class TestHamiltonianSpectrum:
+    @pytest.mark.parametrize("n,length,hbar,mass", [
+        (64, 12.0, 1.0, 1.0), (128, 16.0, 0.5, 0.7), (256, 24.0, 2.0, 3.0),
+        (512, 20.0, 0.1, 0.01), (1024, 40.0, 1.0, 100.0), (2048, 64.0, 10.0, 1.0)])
+    @pytest.mark.parametrize("potential", sorted(POTENTIALS))
+    def test_bit_equal_to_symmetrizing_afterwards(self, n, length, hbar, mass, potential):
+        spec = GridSpec(n, length, hbar)
+        h = grid_hamiltonian(spec, mass, POTENTIALS[potential])
+        ref = symmetrized_after_build(spec, mass, POTENTIALS[potential])
+        assert h.tobytes() == ref.tobytes()
+
+    def test_peak_allocation_within_budget(self):
+        # the returned matrix and O(n) rows: no transpose sum beside it
+        spec = GridSpec(n=1024, length=32.0)
+        tracemalloc.start()
+        try:
+            h = grid_hamiltonian(spec, 1.0, POTENTIALS["harmonic"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * h.nbytes
+
     def test_grid_hamiltonian_real_symmetric(self):
         h = grid_hamiltonian(GridSpec(n=128, length=16.0), 0.7, lambda q: 0.5 * q ** 2)
         assert h.dtype == np.float64
@@ -576,6 +672,19 @@ class TestFreeEvolution:
 
 
 class TestFieldIO:
+    def test_csv_peak_allocation_within_budget(self, tmp_path):
+        # one row of Python floats and its text at a time; the whole field
+        # as a list would take about 32 bytes a cell, 8 MiB at n = 512
+        spec = GridSpec(n=512, length=32.0)
+        field = wigner_transform(gaussian_packet(spec, alpha2=1.0, gamma=0.3))
+        tracemalloc.start()
+        try:
+            field.to_csv(tmp_path / "field.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_csv_shape(self, tmp_path):
         w = wigner_transform(gaussian_packet(SPEC, alpha2=1.0))
         path = tmp_path / "field.csv"
