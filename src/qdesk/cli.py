@@ -111,12 +111,13 @@ def _run_fk(cfg: RunConfig):
                             m_slices=cfg.slices, n_paths=cfg.paths,
                             seed=cfg.seed)
     results = dataclasses.asdict(report)
-    sref = report.spectral_reference
+    lower, upper = report.log_z_lower, report.log_z_upper
+    ref = report.log_spectral_reference
     checks = {
-        "bounds_ordered": report.z_lower <= report.z_upper + 1e-12,
-        "sandwich_holds": report.z_lower - 1e-8 <= sref <= report.z_upper + 1e-8,
-        "mc_within_3_stderr":
-            abs(report.mc_estimate - sref) <= 3 * report.mc_stderr,
+        "bounds_ordered": lower <= upper + 1e-12,
+        "sandwich_holds": lower - 1e-8 <= ref <= upper + 1e-8,
+        "mc_within_3_stderr":  # |est - ref| <= 3 stderr, stderr = rel est
+            abs(math.expm1(ref - report.log_mc_estimate)) <= 3 * report.mc_rel_stderr,
     }
     return results, checks, None
 

@@ -142,7 +142,7 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray,
 def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                    m_slices: int, seed: int) -> Callable[[int], np.ndarray]:
     """The per-block function of ``fk_mc_partition``: ``values(block)``
-    returns Y_k for the 512 paths k of ``block``.  Every step is row-wise
+    returns ln Y_k for the 512 paths k of ``block``.  Every step is row-wise
     and runs on whole row groups (see ``_serial_matmul``), so Y_k depends
     only on (seed, k), not on the blocks computed before it or on the
     thread.  The path moments S_p take one product each for 1 <= p <= deg;
@@ -201,10 +201,10 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
                 qc[:, i - j] += ci * math.comb(i, j) * s[j]
         if gaussian:
             a0, a1, a2 = qc.T
-            return np.sqrt(np.pi / a2) / lam * np.exp(a1 ** 2 / (4 * a2) - a0)
+            return np.log(np.sqrt(np.pi / a2) / lam) + (a1 ** 2 / (4 * a2) - a0)
         action = _serial_matmul(qc, qpow, a["action"])
         weights, low = _peak_weights(action, out=action)  # floored, in place
-        return weights.sum(axis=1) * (np.exp(-low) * scale)
+        return np.log(weights.sum(axis=1) * scale) - low
 
     return values
 
@@ -212,15 +212,17 @@ def _block_sampler(v: Potential, beta: float, m: float, hbar: float,
 def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
                     m_slices: int = 64, n_paths: int = 100_000,
                     seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of tr e^{-beta H} with its standard error.
+    """Monte Carlo estimate of tr e^{-beta H} as its natural log, with its
+    relative standard error.
 
-    Each path contributes Y_k = (1/lambda) int dq e^{-A_k(q)} with the
-    trapezoid time integral A_k(q) = sum_j' v(q + w_k(tau_j)) dtau; the
-    estimate is the path-ensemble mean of Y (pairwise summation, fixed
-    path order), the stderr its sample deviation over sqrt(N); ValueError
-    where a Y_k passes the largest float.  On a quadratic well Y_k is the
-    Gaussian integral in closed form, else e^{-min A_k} times a sum of
-    ``partition._peak_weights`` e^{-(A_k - min A_k)} on 161 q-nodes.
+    Each path contributes ln Y_k, Y_k = (1/lambda) int dq e^{-A_k(q)} with
+    the trapezoid time integral A_k(q) = sum_j' v(q + w_k(tau_j)) dtau.
+    With x_k = e^{ln Y_k - max ln Y}, the estimate is ln mean(x) + max ln Y
+    (pairwise summation, fixed path order) and the relative stderr the
+    sample deviation of x over mean(x) sqrt(N); ValueError where that log
+    is not finite.  On a quadratic well ln Y_k is the Gaussian integral in
+    closed form, else ln of a sum of ``partition._peak_weights``
+    e^{-(A_k - min A_k)} on 161 q-nodes, minus min A_k.
     Paths run in whole blocks of 512, whose arrays stay in cache, in two
     tasks on two threads (numpy's Gaussian sampler and array operations
     release the GIL) and one BLAS thread: task t takes blocks t, t+2, ...,
@@ -236,9 +238,8 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     values = np.empty((n_blocks, _BLOCK_PATHS))
 
     def run(task: int) -> None:
-        with np.errstate(over="ignore"):  # an infinite value is caught below
-            for block in range(task, n_blocks, 2):
-                values[block] = block_values(block)
+        for block in range(task, n_blocks, 2):
+            values[block] = block_values(block)
 
     # imported here: only the path sampler needs it
     from concurrent.futures import ThreadPoolExecutor
@@ -246,31 +247,48 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
         block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
         list(pool.map(run, range(2)))
     values = values.reshape(-1)[:n_paths]
-    if not np.isfinite(values).all():
-        raise ValueError("tr e^{-beta H} is outside the float range: "
-                         "a path value overflows")
-    # scaled in place by 2^-k, exactly: the sum cannot overflow, nor squares underflow
-    k = math.frexp(values.max())[1]
-    scaled = np.ldexp(values, -k, out=values)
-    spread = math.ldexp(float(np.std(scaled, ddof=1)), k)
-    return math.ldexp(float(np.mean(scaled)), k), spread / math.sqrt(n_paths)
+    top = float(values.max())
+    x = np.exp(np.subtract(values, top, out=values), out=values)
+    mean = float(np.mean(x))
+    log_estimate = math.log(mean) + top
+    if not math.isfinite(log_estimate):
+        raise ValueError(f"tr e^{{-beta H}} has no finite estimate: "
+                         f"ln of it is {log_estimate}")
+    return log_estimate, float(np.std(x, ddof=1)) / (mean * math.sqrt(n_paths))
 
 
 @dataclass(frozen=True)
 class PartitionReport:
+    """Each value as its natural log (the MC's stderr relative), and itself
+    where it is a normal float, else None; mc_stderr = rel * mc_estimate."""
+
     beta: float
-    z_upper: float
-    z_lower: float
-    mc_estimate: float
-    mc_stderr: float
-    spectral_reference: float | None = None
-    tau_star: float | None = None
+    z_upper: float | None
+    z_lower: float | None
+    mc_estimate: float | None
+    mc_stderr: float | None
+    spectral_reference: float | None
+    tau_star: float | None
     # the grid the reference was summed on: n, length, dq, cutoff_exponent
-    spectral_grid: dict | None = None
+    spectral_grid: dict
+    log_z_upper: float
+    log_z_lower: float
+    log_spectral_reference: float
+    log_mc_estimate: float
+    mc_rel_stderr: float
 
     def to_json(self) -> dict:
         # perfbench digests fk reports through it
         return asdict(self)
+
+
+def _normal_or_none(log_value: float) -> float | None:
+    """e^{log_value} where that is a normal float, else None."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        return None
+    return value if value >= np.finfo(float).smallest_normal else None
 
 
 def bound_check(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
@@ -282,16 +300,19 @@ def bound_check(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0,
     values as computed; the order of the bounds and the sandwich are the
     caller's checks (``qdesk --scenario fk``'s ``bounds_ordered`` and
     ``sandwich_holds``)."""
-    z_upper = classical_partition(v, beta, 0.0, m, hbar)
-    z_lower = classical_partition(v, beta, beta, m, hbar)
-    estimate, stderr = fk_mc_partition(v, beta, m, hbar, m_slices, n_paths, seed)
-    spectral = spectral_partition(v, beta, m=m, hbar=hbar)
+    log_upper = classical_partition(v, beta, 0.0, m, hbar)
+    log_lower = classical_partition(v, beta, beta, m, hbar)
+    log_estimate, rel_stderr = fk_mc_partition(v, beta, m, hbar, m_slices,
+                                               n_paths, seed)
+    log_reference, grid = spectral_partition(v, beta, m=m, hbar=hbar)
     ts = None
-    if z_lower <= spectral < z_upper:
-        ts = tau_star(v, beta, m, hbar, z_target=spectral)
-    grid = getattr(spectral, "grid", None)  # None from a substituted reference
-    if grid is not None:
-        grid = {"n": grid.n, "length": grid.length, "dq": grid.dq,
-                "cutoff_exponent": _cutoff_exponent(grid, beta, m)}
-    return PartitionReport(beta, z_upper, z_lower, estimate, stderr,
-                           float(spectral), ts, grid)
+    if log_lower <= log_reference < log_upper:
+        ts = tau_star(v, beta, m, hbar, log_z_target=log_reference)
+    estimate = _normal_or_none(log_estimate)
+    return PartitionReport(
+        beta, _normal_or_none(log_upper), _normal_or_none(log_lower), estimate,
+        None if estimate is None else estimate * rel_stderr,
+        _normal_or_none(log_reference), ts,
+        {"n": grid.n, "length": grid.length, "dq": grid.dq,
+         "cutoff_exponent": _cutoff_exponent(grid, beta, m)},
+        log_upper, log_lower, log_reference, log_estimate, rel_stderr)

@@ -10,6 +10,9 @@ reproduces the exact trace.  The spectral reference sums e^{-beta E_k} over
 the eigenvalues of the Fourier-grid Hamiltonian.  The Monte Carlo estimate
 of the trace is in ``feynman_kac``.
 
+Every partition value is returned as its natural log, which cannot leave
+the float range: ln sum e^{-x} = ln(sum of ``_peak_weights``, at least 1) - min x.
+
 Only confining polynomial potentials are supported; the general validity
 conditions of the trace formula are out of scope.
 """
@@ -17,7 +20,6 @@ conditions of the trace formula are out of scope.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,6 @@ __all__ = [
 
 _BOX_EXPONENT = 720.0  # a classical box ends e^{-720} below e^{-beta v(0)}
 _WEIGHT_FLOOR = 700.0  # e^{-700} ~ 1e-304 floors a weight clear of subnormals
-_LOG_MAX = math.log(sys.float_info.max)  # 709.78: e^x overflows beyond it
 
 
 @dataclass(frozen=True)
@@ -122,17 +123,6 @@ def _peak_weights(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
     return out, low[..., 0]
 
 
-def _scale_back(total: float, low: float, what: str) -> float:
-    """total e^{-low} by two halves of e^{-low}, so no factor overflows where
-    the product does not; ValueError naming ``what`` past the largest float."""
-    half = math.exp(min(-float(low) / 2, _LOG_MAX))  # past the cap, inf anyway
-    value = total * half * half
-    if not math.isfinite(value):
-        raise ValueError(f"{what} is outside the float range: "
-                         f"{total:.6g} e^{{{-float(low):.6g}}}")
-    return value
-
-
 def _boltzmann_integrand(vt: Potential, beta: float) -> tuple:
     """8193 q-nodes out to where e^{-beta v_tau} has fallen e^{-720} below
     its value at q = 0, and ``_peak_weights`` of beta v_tau on them."""
@@ -143,15 +133,14 @@ def _boltzmann_integrand(vt: Potential, beta: float) -> tuple:
 
 def classical_partition(v: Potential, beta: float, tau: float, m: float,
                         hbar: float = 1.0) -> float:
-    """(Pseudo-)classical partition function
+    """ln z(beta, tau) of the (pseudo-)classical partition function
     z(beta, tau) = (1/lambda) int dq e^{-beta v_tau(q)}, integrated relative
-    to its peak and scaled back by ``_scale_back``: subnormal or 0 under
-    the normal float range, ValueError over it."""
+    to its peak."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     vt = gauss_transform_potential(v, tau, m, hbar)
     q, weights, low = _boltzmann_integrand(vt, beta)
     z = float(np.trapezoid(weights, q)) / _thermal_lambda(beta, m, hbar)
-    return _scale_back(z, low, "z(beta, tau)")
+    return math.log(z) - float(low)
 
 
 # The spectral reference's grid: a Boltzmann factor of e^{-27.7} < 1e-12
@@ -163,17 +152,6 @@ _CUTOFF_EXPONENT = 27.7
 _EDGE_TOL = 1e-10
 _SPECTRAL_RTOL = 1e-10
 _SPECTRAL_MAX_N = 4096
-
-
-class _GridSum(float):
-    """A Boltzmann sum that carries the grid it was taken on as ``grid``."""
-
-    grid: GridSpec
-
-    def __new__(cls, value: float, grid: GridSpec):
-        out = super().__new__(cls, value)
-        out.grid = grid
-        return out
 
 
 def _cutoff_exponent(spec: GridSpec, beta: float, m: float) -> float:
@@ -200,12 +178,11 @@ def _check_budget(n: int) -> None:
 
 def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
                    edges: bool) -> tuple[float, float, float]:
-    """sum_k e^{-beta E_k} over the eigenvalues of the grid Hamiltonian and,
-    with ``edges``, the largest amplitude of the three lowest eigenstates at
-    the position edges and at the momentum edges |p| = pi hbar/dq, each over
-    its peak (0 without; only then are eigenvectors computed).  The sum is
-    taken relative to e^{-beta E_0} and scaled back by ``_scale_back``;
-    ValueError where it passes the largest float or comes out 0."""
+    """ln sum_k e^{-beta E_k} over the eigenvalues of the grid Hamiltonian,
+    the sum taken relative to e^{-beta E_0}, and, with ``edges``, the
+    largest amplitude of the three lowest eigenstates at the position edges
+    and at the momentum edges |p| = pi hbar/dq, each over its peak (0
+    without; only then are eigenvectors computed)."""
     h = grid_hamiltonian(spec, m, v)
     q_edge = p_edge = 0.0
     with _one_blas_thread():
@@ -218,18 +195,14 @@ def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
         p_edge = float((low_hat[[n // 2 - 1, n // 2]].max(axis=0)
                         / low_hat.max(axis=0)).max())
     weights, beta_e0 = _peak_weights(beta * vals)
-    total = _scale_back(float(weights.sum()), beta_e0, "tr e^{-beta H}")
-    if total == 0:
-        raise ValueError(f"tr e^{{-beta H}} is outside the float range: "
-                         f"beta E_0 = {float(beta_e0):.4g}")
-    return total, q_edge, p_edge
+    return math.log(float(weights.sum())) - float(beta_e0), q_edge, p_edge
 
 
 def spectral_partition(v: Potential, beta: float, m: float = 1.0,
-                       hbar: float = 1.0) -> float:
-    """Independent reference: the sum of e^{-beta E_k} over the eigenvalues
-    of the Fourier-grid Hamiltonian, as a float whose ``grid`` attribute is
-    the GridSpec it was summed on.
+                       hbar: float = 1.0) -> tuple[float, GridSpec]:
+    """Independent reference: ln of the sum of e^{-beta E_k} over the
+    eigenvalues of the Fourier-grid Hamiltonian, and the GridSpec it was
+    summed on.
 
     The grid follows from beta, hbar and m.  The box [-r, r] ends where
     beta (v - v(0)) first reaches 27.7, and n is the smallest power of two
@@ -238,13 +211,13 @@ def spectral_partition(v: Potential, beta: float, m: float = 1.0,
     the position or momentum edge, the box doubles (n starting again) if
     the position edge is the worse, else n doubles.  Then n doubles once
     over the box, and the finer sum is returned if it agrees with the last
-    one within 1e-10 relative; ValueError if not, and for a grid past
-    n = 4096."""
+    one within 1e-10 relative, |expm1(ln coarse - ln fine)| <= 1e-10;
+    ValueError if not, and for a grid past n = 4096."""
     _require_positive(beta=beta, m=m, hbar=hbar)
     length = 2 * _decay_radius(v, beta, _CUTOFF_EXPONENT, bisect=True)
     spec = _first_grid(length, beta, m, hbar)
     while True:
-        total, q_edge, p_edge = _boltzmann_sum(v, beta, spec, m, edges=True)
+        log_total, q_edge, p_edge = _boltzmann_sum(v, beta, spec, m, edges=True)
         if max(q_edge, p_edge) <= _EDGE_TOL:
             break
         # the worse edge names the fault: a box too small leaves the states
@@ -257,38 +230,38 @@ def spectral_partition(v: Potential, beta: float, m: float = 1.0,
             spec = _first_grid(2 * spec.length, beta, m, hbar)
     _check_budget(2 * spec.n)
     finer = GridSpec(2 * spec.n, spec.length, hbar)
-    finer_total, _, _ = _boltzmann_sum(v, beta, finer, m, edges=False)
-    if not abs(finer_total - total) <= _SPECTRAL_RTOL * finer_total:
+    log_finer, _, _ = _boltzmann_sum(v, beta, finer, m, edges=False)
+    differ = abs(math.expm1(log_total - log_finer))
+    if not differ <= _SPECTRAL_RTOL:
         raise ValueError(f"unconverged grid: the sums on n = {spec.n} and "
-                         f"{finer.n} points differ by "
-                         f"{abs(finer_total - total) / finer_total:.3g} "
+                         f"{finer.n} points differ by {differ:.3g} "
                          f"relative, over {_SPECTRAL_RTOL:g}")
-    return _GridSum(finer_total, finer)
+    return log_finer, finer
 
 
 def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
-             z_target: float) -> float:
-    """Unique tau in (0, beta] with |z(beta, tau) - z_target| <= 1e-8
-    z_target on the strictly decreasing tau -> z(beta, tau), by Illinois
-    false position on [0, beta] (Dowell & Jarratt, BIT 11, 168 (1971)): an
-    end kept by two steps in a row has its value halved, and a step not
-    strictly inside the bracket takes the midpoint.  RuntimeError after
-    200 steps."""
-    z0 = classical_partition(v, beta, 0.0, m, hbar)
-    zb = classical_partition(v, beta, beta, m, hbar)
-    if not (zb - 1e-12 <= z_target < z0):
-        raise ValueError("target outside the bracket [z(beta,beta), z(beta,0))")
-    tol = 1e-8 * z_target
-    if abs(z_target - zb) <= tol:
+             log_z_target: float) -> float:
+    """Unique tau in (0, beta] with |ln z(beta, tau) - log_z_target| <= 1e-8
+    on the strictly decreasing tau -> ln z(beta, tau), by Illinois false
+    position on [0, beta] (Dowell & Jarratt, BIT 11, 168 (1971)): an end
+    kept by two steps in a row has its value halved, and a step not
+    strictly inside the bracket takes the midpoint.  ValueError, before any
+    step, for a target outside [ln z(beta, beta) - 1e-8, ln z(beta, 0));
+    RuntimeError after 200 steps."""
+    tol = 1e-8
+    f_lo = classical_partition(v, beta, 0.0, m, hbar) - log_z_target
+    f_hi = classical_partition(v, beta, beta, m, hbar) - log_z_target
+    if not (f_hi <= tol and f_lo > 0):
+        raise ValueError("target outside the bracket [ln z(beta,beta), ln z(beta,0))")
+    if f_hi >= -tol:
         return beta
-    lo, hi = 0.0, beta
-    f_lo, f_hi = z0 - z_target, zb - z_target  # f_lo > 0 > f_hi
+    lo, hi = 0.0, beta  # f_lo > 0 > f_hi
     kept = None  # the end that the last step kept
     for _ in range(200):
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < t < hi:
             t = (lo + hi) / 2
-        f = classical_partition(v, beta, t, m, hbar) - z_target
+        f = classical_partition(v, beta, t, m, hbar) - log_z_target
         if abs(f) <= tol:
             return t
         if f > 0:
@@ -301,35 +274,37 @@ def tau_star(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0, *,
             if kept == "lo":
                 f_lo /= 2
             kept = "lo"
-    raise RuntimeError(f"tau_star did not converge: z(beta, {t!r}) misses "
-                       f"the target by {abs(f) / z_target:.3g} relative")
+    raise RuntimeError(f"tau_star did not converge: ln z(beta, {t!r}) misses "
+                       f"the target by {f:.3g} in ln z")
 
 
 def monotonicity_check(v: Potential, beta: float, m: float = 1.0,
                        hbar: float = 1.0) -> dict:
-    """z(beta, .) at tau = 0, beta/4, beta/2, 3 beta/4 and beta, the
+    """ln z(beta, .) at tau = 0, beta/4, beta/2, 3 beta/4 and beta, the
     strict-decrease flag, and the derivative identity
-    dz/dtau = -(beta lambda / 48 pi) int dq e^{-beta v_tau} (v_tau')^2
-    checked against a central difference at the three interior points."""
+    d ln z/dtau = -(beta lambda^2 / 48 pi) int dq w (v_tau')^2 / int dq w,
+    w = e^{-beta v_tau}, checked against a central difference at the three
+    interior points."""
     tau_grid = [float(t) for t in (0.0, beta / 4, beta / 2, 3 * beta / 4, beta)]
-    z = [classical_partition(v, beta, t, m, hbar) for t in tau_grid]
-    decreasing = all(z[i] > z[i + 1] for i in range(len(z) - 1))
+    log_z = [classical_partition(v, beta, t, m, hbar) for t in tau_grid]
+    decreasing = all(log_z[i] > log_z[i + 1] for i in range(len(log_z) - 1))
 
     lam = _thermal_lambda(beta, m, hbar)
     derivative_errors = []
     for t in tau_grid[1:-1]:
         vt = gauss_transform_potential(v, t, m, hbar)
-        q, weights, low = _boltzmann_integrand(vt, beta)
-        integral = float(np.trapezoid(weights * vt.derivative()(q) ** 2, q))
-        formula = -_scale_back(beta * lam / (48 * math.pi) * integral, low, "dz/dtau")
+        q, weights, _ = _boltzmann_integrand(vt, beta)
+        mean_slope2 = (float(np.trapezoid(weights * vt.derivative()(q) ** 2, q))
+                       / float(np.trapezoid(weights, q)))
+        formula = -beta * lam ** 2 / (48 * math.pi) * mean_slope2
         h = 1e-3 * beta
         numeric = (classical_partition(v, beta, t + h, m, hbar)
                    - classical_partition(v, beta, t - h, m, hbar)) / (2 * h)
-        scale = max(abs(formula), abs(numeric), 1e-30)
-        derivative_errors.append(abs(formula - numeric) / scale)
+        derivative_errors.append(abs(formula - numeric)
+                                 / max(abs(formula), abs(numeric)))
     return {
         "tau_grid": tau_grid,
-        "z_values": z,
+        "log_z_values": log_z,
         "strictly_decreasing": decreasing,
         "derivative_relative_errors": derivative_errors,
     }

@@ -88,15 +88,17 @@ def test_criterion_03_entropic_bound():
 def test_criterion_04_feynman_kac_sandwich_and_mc():
     t0 = time.perf_counter()
     v = fk.Potential.polynomial([0.0, 0.0, 0.5])
-    z_spec = fk.spectral_partition(v, 2.0)
-    z_hi = fk.classical_partition(v, 2.0, 0.0, 1.0)
-    z_lo = fk.classical_partition(v, 2.0, 2.0, 1.0)
+    log_spec, _ = fk.spectral_partition(v, 2.0)
+    z_spec, z_hi, z_lo = (math.exp(x) for x in (
+        log_spec, fk.classical_partition(v, 2.0, 0.0, 1.0),
+        fk.classical_partition(v, 2.0, 2.0, 1.0)))
     in_interval = 0.423476 <= z_spec <= 0.5 and z_lo <= z_spec <= z_hi
     hits = 0
     for seed in range(100):
-        est, stderr = fk.fk_mc_partition(v, 2.0, m_slices=64,
-                                         n_paths=100_000, seed=seed)
-        if abs(est - z_spec) <= 3 * stderr:
+        log_est, rel = fk.fk_mc_partition(v, 2.0, m_slices=64,
+                                          n_paths=100_000, seed=seed)
+        # |est - z_spec| <= 3 stderr, with stderr = rel est
+        if abs(math.expm1(log_spec - log_est)) <= 3 * rel:
             hits += 1
     elapsed = time.perf_counter() - t0
     ok = in_interval and hits >= 99
@@ -112,7 +114,7 @@ def test_criterion_05_monotonicity_and_tau_star():
     mono_h = pt.monotonicity_check(harmonic, 2.0)["strictly_decreasing"]
     mono_q = pt.monotonicity_check(quartic, 2.0)["strictly_decreasing"]
     z_spec = 1.0 / (2 * math.sinh(1.0))
-    ts = pt.tau_star(harmonic, 2.0, z_target=z_spec)
+    ts = pt.tau_star(harmonic, 2.0, log_z_target=math.log(z_spec))
     ts_err = abs(ts - 12.0 * math.log(math.sinh(1.0)))
     elapsed = time.perf_counter() - t0
     ok = mono_h and mono_q and ts_err < 1e-6

@@ -303,10 +303,53 @@ class TestExitCodes:
         assert cli.main(["--scenario", "fk", "--slices", "0"]) == 2
         assert "slices must be at least 1" in capsys.readouterr().err
 
-    def test_trace_past_the_float_range_exits_2(self, capsys):
-        # min beta v = -715: e^{715} overflows, inside the old +-720 window
-        assert cli.main(["--scenario", "fk", "--potential=-357.5,0,0.5"]) == 2
-        assert "outside the float range" in capsys.readouterr().err
+    def test_trace_past_the_largest_float_exits_0(self, capsys):
+        # min beta v = -715: e^{715} overflows, its log does not.  The
+        # values past the float range are null
+        code, out = run_cli(capsys, "--scenario", "fk", "--potential=-357.5,0,0.5")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert abs(res["log_spectral_reference"]
+                   - (715 - math.log(2 * math.sinh(1.0)))) <= 1e-12
+        assert res["spectral_reference"] is None and res["z_upper"] is None
+
+    def test_path_values_without_a_finite_mean_exit_2(self, capsys):
+        # 1e300 q^2: a path's a1^2/4a2 overflows, and the estimate's log is
+        # not finite
+        assert cli.main(["--scenario", "fk", "--paths", "2000",
+                         "--potential", "0,0,1e300"]) == 2
+        assert "no finite estimate" in capsys.readouterr().err
+
+    def test_subnormal_trace_keeps_a_relative_stderr(self, capsys):
+        # 370 + q^2/2: every path value would be a subnormal near 1.8e-322,
+        # 36 spacings of precision; their logs keep the stderr
+        code, out = run_cli(capsys, "--scenario", "fk", "--paths", "2000",
+                            "--potential", "370,0,0.5")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["mc_rel_stderr"] > 0 and res["mc_estimate"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ("--potential=-357.5,0,0.5",), ("--potential", "370,0,0.5"),
+        ("--beta", "200")], ids=["c-357.5", "c370", "beta200"])
+    def test_json_is_strict_past_the_float_range(self, capsys, argv):
+        # a z field outside the normal floats is null, never Infinity or a
+        # subnormal, and every log field is finite
+        cli.main(["--scenario", "fk", "--paths", "2000", *argv])
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+        for name in ("z_upper", "z_lower", "spectral_reference", "mc_estimate",
+                     "mc_stderr"):
+            assert res[name] is None or res[name] >= sys.float_info.min
+        logs = [res[name] for name in ("log_z_upper", "log_z_lower",
+                                       "log_spectral_reference", "log_mc_estimate",
+                                       "mc_rel_stderr")]
+        assert all(map(math.isfinite, logs))
+        assert res["mc_estimate"] is None or res["mc_estimate"] == math.exp(
+            res["log_mc_estimate"])
 
     @pytest.mark.parametrize("argv", [
         ("--potential=-350,0,0.5",),
@@ -323,12 +366,14 @@ class TestExitCodes:
 
     def test_subnormal_trace_keeps_its_sandwich(self, capsys):
         # beta E_0 = 719: each reference is summed from its own peak, so the
-        # subnormal lower bound stays under the reference and tau* is found
+        # lower bound stays under the reference and tau* is found; the
+        # subnormal values themselves are null
         code, out = run_cli(capsys, "--scenario", "fk", "--paths", "2000",
                             "--potential", "359,0,0.5")
         assert code == 0
         res = json.loads(out)["results"]
-        assert 0 < res["z_lower"] <= res["spectral_reference"] < sys.float_info.min
+        assert res["log_z_lower"] <= res["log_spectral_reference"] < res["log_z_upper"]
+        assert res["z_lower"] is None and res["spectral_reference"] is None
         assert res["tau_star"] is not None
 
     def test_one_slice_is_the_classical_bound(self, capsys):
@@ -378,11 +423,21 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--scenario", "mermin")
         assert code == 1
 
-    def test_sandwich_violation_exits_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, factor", [
+        (FAST_ARGS["fk"], 1.5),
+        (("--paths", "2000", "--potential", "300,0,0.5"), 10.0)],
+        ids=["harmonic", "z1e-261"])
+    def test_sandwich_violation_exits_1(self, capsys, monkeypatch, argv, factor):
+        # judged relative to the values: a reference 10 times too large
+        # fails at Z ~ 1e-261 as well
         original = cli.fk.spectral_partition
-        monkeypatch.setattr(cli.fk, "spectral_partition",
-                            lambda *args, **kw: 1.5 * original(*args, **kw))
-        code, out = run_cli(capsys, "--scenario", "fk", *FAST_ARGS["fk"])
+
+        def scaled(*args, **kw):
+            log_z, grid = original(*args, **kw)
+            return log_z + math.log(factor), grid
+
+        monkeypatch.setattr(cli.fk, "spectral_partition", scaled)
+        code, out = run_cli(capsys, "--scenario", "fk", *argv)
         assert code == 1
         assert json.loads(out)["checks"]["sandwich_holds"] is False
 
@@ -390,12 +445,12 @@ class TestExitCodes:
         # a z(beta, beta) above z(beta, 0) is a failed check, not a raise
         original = cli.fk.classical_partition
         monkeypatch.setattr(cli.fk, "classical_partition",
-                            lambda v, beta, tau, *args: (1 + 2 * (tau > 0))
-                            * original(v, beta, tau, *args))
+                            lambda v, beta, tau, *args: math.log(3) * (tau > 0)
+                            + original(v, beta, tau, *args))
         code, out = run_cli(capsys, "--scenario", "fk", *FAST_ARGS["fk"])
         assert code == 1
         payload = json.loads(out)
-        assert payload["results"]["z_lower"] > payload["results"]["z_upper"]
+        assert payload["results"]["log_z_lower"] > payload["results"]["log_z_upper"]
         assert payload["checks"]["bounds_ordered"] is False
 
     def test_negative_variance_exits_1(self, capsys, monkeypatch):

@@ -38,6 +38,7 @@ HARMONIC = Potential.polynomial([0.0, 0.0, 0.5])
 QUARTIC = Potential.polynomial([0.0, 0.0, 0.0, 0.0, 0.25])
 ODD_QUARTIC = Potential.polynomial([0.1, 0.3, 0.5, -0.2, 0.25])
 SPECTRAL_HARMONIC = 1.0 / (2 * math.sinh(1.0))  # beta = 2, hbar = omega = 1
+LOG_SPECTRAL_HARMONIC = -math.log(2 * math.sinh(1.0))
 
 
 class TestPotential:
@@ -91,9 +92,16 @@ class TestGaussTransform:
 class TestClassicalPartition:
     def test_harmonic_closed_forms(self):
         # z(beta, tau) = (1/beta) e^{-beta tau/24} for v = q^2/2
-        assert abs(classical_partition(HARMONIC, 2.0, 0.0, 1.0) - 0.5) < 1e-7
+        assert abs(math.exp(classical_partition(HARMONIC, 2.0, 0.0, 1.0)) - 0.5) < 1e-7
         expected = 0.5 * math.exp(-1.0 / 6.0)
-        assert abs(classical_partition(HARMONIC, 2.0, 2.0, 1.0) - expected) < 1e-7
+        assert abs(math.exp(classical_partition(HARMONIC, 2.0, 2.0, 1.0))
+                   - expected) < 1e-7
+
+    def test_harmonic_lower_bound_when_cold(self):
+        # ln z(beta, beta) = -(beta hbar omega)^2/24 - ln(beta hbar omega) at
+        # beta = 200: -1671.96, where z itself is far under the float range
+        want = -200.0 ** 2 / 24 - math.log(200.0)
+        assert abs(classical_partition(HARMONIC, 200.0, 200.0, 1.0) - want) <= 1e-12
 
     def test_divergent_potential_raises(self):
         v = Potential.polynomial([0.0, 0.0, -1.0])
@@ -108,36 +116,38 @@ class TestClassicalPartition:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             classical_partition(HARMONIC, beta, 0.0, m, hbar)
 
-    def test_value_under_the_normal_range(self):
-        # z = e^{-beta c}/beta for c + q^2/2: subnormal at c = 361, not the
-        # e^{-720} floor times the box; under the float range at c = 1000
-        z = classical_partition(Potential.polynomial((361.0, 0.0, 0.5)), 2.0, 0.0, 1.0)
-        assert abs(z - math.exp(-722.0) / 2) <= 1e-6 * math.exp(-722.0) / 2
-        assert classical_partition(Potential.polynomial((1000.0, 0.0, 0.5)),
-                                   2.0, 0.0, 1.0) == 0.0
+    def test_values_under_the_float_range(self):
+        # ln z = -beta c - ln beta for c + q^2/2: z is subnormal at c = 361
+        # and under the float range at c = 1000
+        for c in (361.0, 1000.0):
+            log_z = classical_partition(Potential.polynomial((c, 0.0, 0.5)),
+                                        2.0, 0.0, 1.0)
+            assert abs(log_z - (-2 * c - math.log(2.0))) <= 1e-12
 
-    def test_overflow_raises(self):
-        # e^{2000}/2 has no float value: an error, not inf with a warning
+    def test_values_over_the_float_range(self):
+        # e^{2000}/2 has no float value, its log has: no error, no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="outside the float range"):
-                classical_partition(Potential.polynomial((-1000.0, 0.0, 0.5)),
-                                    2.0, 0.0, 1.0)
+            log_z = classical_partition(Potential.polynomial((-1000.0, 0.0, 0.5)),
+                                        2.0, 0.0, 1.0)
+        assert abs(log_z - (2000.0 - math.log(2.0))) <= 1e-12
 
     @pytest.mark.parametrize("c, hbar", [(-357.5, 1.0), (-354.75, 0.25)])
-    def test_overflow_window_raises(self, c, hbar):
-        # c + q^2/2 at beta = 2.  At c = -357.5, min beta v_tau ~ -715 is
-        # inside +-720 but past ln(float max) = 709.78.  At c = -354.75 it is
-        # -709.5, and z ~ 2 e^{709.5} overflows in the sum.  Both references
-        # raise, with no overflow warning
+    def test_values_past_the_largest_float(self, c, hbar):
+        # c + q^2/2 at beta = 2, omega = m = 1: ln z(beta, tau) = -beta c -
+        # ln(beta hbar) - beta tau hbar^2/24 and ln tr e^{-beta H} = -beta c -
+        # ln(2 sinh(beta hbar/2)).  At c = -357.5 min beta v_tau ~ -715 is
+        # past ln(float max) = 709.78; at c = -354.75 it is -709.5, and
+        # z ~ 2 e^{709.5} would overflow in the sum.  No overflow warning
         v = Potential.polynomial((c, 0.0, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for run in (lambda: classical_partition(v, 2.0, 0.0, 1.0, hbar),
-                        lambda: classical_partition(v, 2.0, 2.0, 1.0, hbar),
-                        lambda: spectral_partition(v, 2.0, hbar=hbar)):
-                with pytest.raises(ValueError, match="outside the float range"):
-                    run()
+            upper = classical_partition(v, 2.0, 0.0, 1.0, hbar)
+            lower = classical_partition(v, 2.0, 2.0, 1.0, hbar)
+            log_z, _ = spectral_partition(v, 2.0, hbar=hbar)
+        assert abs(upper - (-2 * c - math.log(2 * hbar))) <= 1e-12
+        assert abs(lower - (-2 * c - math.log(2 * hbar) - hbar ** 2 / 6)) <= 1e-12
+        assert abs(log_z - (-2 * c - math.log(2 * math.sinh(hbar)))) <= 1e-10
 
     def test_values_near_the_top_of_the_float_range(self):
         # c + q^2/2 at beta = 2: z(beta, 0) = e^{-2c}/2, z(beta, beta) =
@@ -149,25 +159,23 @@ class TestClassicalPartition:
                 warnings.simplefilter("error", RuntimeWarning)
                 upper = classical_partition(v, 2.0, 0.0, 1.0)
                 lower = classical_partition(v, 2.0, 2.0, 1.0)
-                z = spectral_partition(v, 2.0)
-            assert abs(upper / (math.exp(-2 * c) / 2) - 1) <= 1e-12
-            assert abs(lower / (math.exp(-2 * c - 1 / 6) / 2) - 1) <= 1e-12
-            assert abs(z / (math.exp(-2 * c) * SPECTRAL_HARMONIC) - 1) <= 1e-10
+                log_z, _ = spectral_partition(v, 2.0)
+            assert abs(upper - (-2 * c - math.log(2.0))) <= 1e-12
+            assert abs(lower - (-2 * c - 1 / 6 - math.log(2.0))) <= 1e-12
+            assert abs(log_z - (-2 * c + LOG_SPECTRAL_HARMONIC)) <= 1e-10
 
     @pytest.mark.parametrize("beta_c", [600, 700, 708, 714, 718, 722])
     def test_values_across_the_bottom_of_the_float_range(self, beta_c):
         # c + q^2/2 at beta = 2: z(beta, 0) = e^{-beta c}/beta, z(beta, beta)
         # = e^{-beta (c + s/2)}/beta with s = beta/12, and tr e^{-beta H} =
-        # e^{-beta c}/(2 sinh 1).  Each integral is taken from its own peak,
-        # so it keeps its precision down to the subnormals
+        # e^{-beta c}/(2 sinh 1).  Each sum is taken from its own peak, so
+        # its log keeps its precision where the value would be subnormal
         v = Potential.polynomial((beta_c / 2, 0.0, 0.5))
-        for tau, want in [(0.0, math.exp(-beta_c) / 2),
-                          (2.0, math.exp(-(beta_c + 1 / 6)) / 2)]:
-            z = classical_partition(v, 2.0, tau, 1.0)
-            assert abs(z - want) <= max(1e-12 * want, 4 * 2.0 ** -1074)
-        want = math.exp(-beta_c) * SPECTRAL_HARMONIC
-        if want >= sys.float_info.min:
-            assert abs(spectral_partition(v, 2.0) / want - 1) <= 1e-10
+        for tau, want in [(0.0, -beta_c - math.log(2.0)),
+                          (2.0, -(beta_c + 1 / 6) - math.log(2.0))]:
+            assert abs(classical_partition(v, 2.0, tau, 1.0) - want) <= 1e-12
+        log_z, _ = spectral_partition(v, 2.0)
+        assert abs(log_z - (-beta_c + LOG_SPECTRAL_HARMONIC)) <= 1e-10
 
     @pytest.mark.parametrize("c", [0.0, 400.0])
     def test_constant_potential_diverges(self, c):
@@ -181,46 +189,47 @@ class TestClassicalPartition:
 
 
 class TestConstantOffset:
-    """Adding c to v scales every estimate by e^{-beta c}: the boxes and
-    grids are measured from v(0), not from v = 0."""
+    """Adding c to v scales every estimate by e^{-beta c}, and moves its log
+    by -beta c: the boxes and grids are measured from v(0), not from
+    v = 0."""
 
     @pytest.mark.parametrize("hbar", [1.0, 0.1])
     @pytest.mark.parametrize("c", [-20.0, 20.0, 300.0])
     def test_offset_scales_every_estimate(self, c, hbar):
         shifted = Potential.polynomial((c,) + QUARTIC.coeffs[1:])
-        scale = math.exp(2.0 * c)
-        z0, z = (spectral_partition(v, 2.0, hbar=hbar) for v in (QUARTIC, shifted))
-        assert z.grid == z0.grid
-        assert abs(z * scale / z0 - 1) <= 1e-11
+        (z0, grid0), (z, grid) = (spectral_partition(v, 2.0, hbar=hbar)
+                                  for v in (QUARTIC, shifted))
+        assert grid == grid0
+        assert abs(math.expm1(z + 2.0 * c - z0)) <= 1e-11
         for tau in (0.0, 1.0, 2.0):
             a, b = (classical_partition(v, 2.0, tau, 1.0, hbar) for v in (QUARTIC, shifted))
-            assert abs(b * scale / a - 1) <= 1e-12
+            assert abs(math.expm1(b + 2.0 * c - a)) <= 1e-12
         (e0, s0), (e, s) = (fk_mc_partition(v, 2.0, hbar=hbar, n_paths=2_000, seed=1)
                             for v in (QUARTIC, shifted))
-        assert abs(e * scale / e0 - 1) <= 1e-12
-        assert abs(s * scale / s0 - 1) <= 1e-12
+        assert abs(math.expm1(e + 2.0 * c - e0)) <= 1e-12
+        assert abs(s / s0 - 1) <= 1e-12
 
 
 class TestSpectralReference:
     def test_harmonic_value(self):
-        z = spectral_partition(HARMONIC, 2.0)
-        assert abs(z - SPECTRAL_HARMONIC) < 1e-10
+        log_z, _ = spectral_partition(HARMONIC, 2.0)
+        assert abs(math.exp(log_z) - SPECTRAL_HARMONIC) < 1e-10
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("mass", [0.5, 2.0])
     def test_harmonic_value_across_units(self, hbar, mass):
         # omega = 1/sqrt(m) for v = q^2/2
         exact = 1.0 / (2 * math.sinh(2.0 * hbar / (2 * math.sqrt(mass))))
-        z = spectral_partition(HARMONIC, 2.0, m=mass, hbar=hbar)
-        assert abs(z - exact) < 1e-10 * exact
+        log_z, _ = spectral_partition(HARMONIC, 2.0, m=mass, hbar=hbar)
+        assert abs(math.exp(log_z) - exact) < 1e-10 * exact
         rep = bound_check(HARMONIC, 2.0, m=mass, hbar=hbar, n_paths=2_000)
         assert abs(rep.spectral_reference - exact) < 1e-10 * exact
 
     def test_sandwich(self):
-        z = spectral_partition(HARMONIC, 2.0)
+        log_z, _ = spectral_partition(HARMONIC, 2.0)
         lo = classical_partition(HARMONIC, 2.0, 2.0, 1.0)
         hi = classical_partition(HARMONIC, 2.0, 0.0, 1.0)
-        assert lo <= z <= hi
+        assert lo <= log_z <= hi
 
     def test_bound_check_reports_the_grid(self):
         rep = bound_check(HARMONIC, 2.0, hbar=0.5, n_paths=2_000)
@@ -234,10 +243,15 @@ class TestSpectralReference:
 
     def test_bound_check_returns_escaped_reference(self, monkeypatch):
         original = fk.spectral_partition
-        monkeypatch.setattr(fk, "spectral_partition",
-                            lambda *args, **kw: 1.5 * original(*args, **kw))
+
+        def scaled(*args, **kw):
+            log_z, grid = original(*args, **kw)
+            return log_z + math.log(1.5), grid
+
+        monkeypatch.setattr(fk, "spectral_partition", scaled)
         rep = bound_check(HARMONIC, 2.0, n_paths=2_000)
-        assert rep.spectral_reference > rep.z_upper + 1e-8
+        assert rep.log_spectral_reference > rep.log_z_upper + 1e-8
+        assert rep.spectral_reference > rep.z_upper
         assert rep.tau_star is None
 
 
@@ -304,27 +318,41 @@ class TestOneBlasThread:
 
     def test_reference_without_the_library(self, monkeypatch):
         monkeypatch.setattr(ops, "_openblas_threads", lambda: None)
-        assert abs(spectral_partition(HARMONIC, 2.0) - SPECTRAL_HARMONIC) < 1e-10
+        log_z, _ = spectral_partition(HARMONIC, 2.0)
+        assert abs(math.exp(log_z) - SPECTRAL_HARMONIC) < 1e-10
 
 
 def block_values(v, beta, m, hbar, m_slices, seed, n_paths):
-    """Y_k of paths [0, n_paths) from one serial sampler's whole blocks, on
-    one BLAS thread as in fk_mc_partition."""
+    """ln Y_k of paths [0, n_paths) from one serial sampler's whole blocks,
+    on one BLAS thread as in fk_mc_partition."""
     with ops._one_blas_thread():
         values = _block_sampler(v, beta, m, hbar, m_slices, seed)
         y = np.concatenate([values(block) for block in range(-(-n_paths // 512))])
     return y[:n_paths]
 
 
-def harmonic_closed_form(beta, hbar, m):
-    """1/(2 sinh(beta hbar omega/2)) for v = q^2/2, omega = 1/sqrt(m)."""
-    return 1.0 / (2 * math.sinh(beta * hbar / (2 * math.sqrt(m))))
+def log_mean(log_y):
+    """ln of the mean of e^{log_y} and its relative stderr, from
+    x = e^{log_y - max log_y}."""
+    top = float(log_y.max())
+    x = np.exp(log_y - top)
+    mean = float(np.mean(x))
+    return math.log(mean) + top, float(np.std(x, ddof=1)) / (mean * math.sqrt(len(x)))
+
+
+def log_harmonic_closed_form(beta, hbar, m):
+    """-ln(2 sinh(x/2)) = -x/2 - ln(1 - e^{-x}) for v = q^2/2, with
+    x = beta hbar omega and omega = 1/sqrt(m)."""
+    x = beta * hbar / math.sqrt(m)
+    return -x / 2 - math.log1p(-math.exp(-x))
 
 
 # beta x hbar x m around the default config: hot, cold, nearly classical,
 # deep quantum and light.  At beta = 0.05, hbar = 0.05, m = 1 the grid needs
-# n = 16384, past the budget; where beta hbar omega/2 > 720, Z is below the
-# float range.  Both are tested for their errors below.
+# n = 16384, past the budget.  Where beta hbar omega/2 > 720, Z is below the
+# float range and ln Z is not, but there the sums on n and 2n points differ
+# by 1e-9 to 6e-8 relative: beta E_0 moves by more than 1e-10 between the
+# grids.  Both are tested for their errors below.
 UNIT_GRID = [(beta, hbar, m) for beta in (0.05, 2.0, 200.0)
              for hbar in (0.05, 1.0, 20.0) for m in (1e-4, 1.0)]
 OVER_BUDGET = (0.05, 0.05, 1.0)
@@ -335,10 +363,10 @@ class TestSpectralGrid:
     @pytest.mark.parametrize("beta,hbar,m", [
         u for u in UNIT_GRID if u != OVER_BUDGET and u not in UNDERFLOWING])
     def test_harmonic_closed_form(self, beta, hbar, m):
-        z = spectral_partition(HARMONIC, beta, m=m, hbar=hbar)
-        exact = harmonic_closed_form(beta, hbar, m)
-        assert abs(z - exact) <= 1e-10 * exact
-        assert z.grid.n <= 4096
+        log_z, grid = spectral_partition(HARMONIC, beta, m=m, hbar=hbar)
+        exact = log_harmonic_closed_form(beta, hbar, m)
+        assert abs(math.expm1(log_z - exact)) <= 1e-10
+        assert grid.n <= 4096
 
     @pytest.mark.parametrize("rel", [1e-9, 1e-11])
     def test_finer_sum_must_agree(self, rel, monkeypatch):
@@ -347,24 +375,23 @@ class TestSpectralGrid:
         finer = []
 
         def perturbed(v, beta, spec, m, edges):
-            total, q_edge, p_edge = _boltzmann_sum(v, beta, spec, m, edges)
+            log_total, q_edge, p_edge = _boltzmann_sum(v, beta, spec, m, edges)
             if not edges:
-                total *= 1 + rel
-                finer.append((total, spec))
-            return total, q_edge, p_edge
+                log_total += math.log1p(rel)
+                finer.append((log_total, spec))
+            return log_total, q_edge, p_edge
 
         monkeypatch.setattr(pt, "_boltzmann_sum", perturbed)
         if rel > 1e-10:
             with pytest.raises(ValueError, match="unconverged grid"):
                 spectral_partition(HARMONIC, 2.0)
         else:
-            z = spectral_partition(HARMONIC, 2.0)
-            assert [(float(z), z.grid)] == finer
+            assert [spectral_partition(HARMONIC, 2.0)] == finer
         assert len(finer) == 1
 
     @pytest.mark.parametrize("beta,hbar,m", UNDERFLOWING)
-    def test_underflowing_trace_raises(self, beta, hbar, m):
-        with pytest.raises(ValueError, match="outside the float range"):
+    def test_underflowing_trace_is_unconverged(self, beta, hbar, m):
+        with pytest.raises(ValueError, match="unconverged grid"):
             spectral_partition(HARMONIC, beta, m=m, hbar=hbar)
 
     def test_budget_raises_before_any_eigensolve(self, monkeypatch):
@@ -397,9 +424,9 @@ class TestSpectralGrid:
 
     @pytest.mark.parametrize("hbar,m", [(1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.0, 2.0)])
     def test_quartic_matches_finite_differences(self, hbar, m):
-        z = spectral_partition(QUARTIC, 2.0, m=m, hbar=hbar)
+        log_z, _ = spectral_partition(QUARTIC, 2.0, m=m, hbar=hbar)
         fd = self.fd_partition(QUARTIC.coeffs, 2.0, hbar, m)
-        assert abs(z - fd) <= 1e-9 * fd
+        assert abs(math.exp(log_z) - fd) <= 1e-9 * fd
 
     confining = st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0),
                           st.floats(0.05, 1.0))  # q, q^2 and q^4 coefficients
@@ -407,9 +434,9 @@ class TestSpectralGrid:
 
     @staticmethod
     def partitions(coeffs, beta, m, hbar):
-        """The spectral reference and both classical bounds."""
+        """The logs of the spectral reference and both classical bounds."""
         v = Potential.polynomial((0.0, coeffs[0], coeffs[1], 0.0, coeffs[2]))
-        return np.array([spectral_partition(v, beta, m=m, hbar=hbar),
+        return np.array([spectral_partition(v, beta, m=m, hbar=hbar)[0],
                           classical_partition(v, beta, 0.0, m, hbar),
                           classical_partition(v, beta, beta, m, hbar)])
 
@@ -420,7 +447,7 @@ class TestSpectralGrid:
         beta, hbar, m = units
         z = self.partitions(coeffs, beta, m, hbar)
         scaled = self.partitions(coeffs, beta, m * s * s, hbar * s)
-        assert np.max(np.abs(scaled / z - 1)) <= 1e-10
+        assert np.max(np.abs(np.expm1(scaled - z))) <= 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(confining, units, st.floats(0.5, 2.0))
@@ -429,7 +456,7 @@ class TestSpectralGrid:
         beta, hbar, m = units
         z = self.partitions(coeffs, beta, m, hbar)
         scaled = self.partitions(tuple(c * x for x in coeffs), beta / c, m / c, hbar)
-        assert np.max(np.abs(scaled / z - 1)) <= 1e-10
+        assert np.max(np.abs(np.expm1(scaled - z))) <= 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(confining, units, st.floats(0.5, 2.0))
@@ -439,7 +466,7 @@ class TestSpectralGrid:
         z = self.partitions(coeffs, beta, m, hbar)
         dilated = (coeffs[0] * s, coeffs[1] * s ** 2, coeffs[2] * s ** 4)
         scaled = self.partitions(dilated, beta, m * s * s, hbar)
-        assert np.max(np.abs(scaled / z - 1)) <= 1e-10
+        assert np.max(np.abs(np.expm1(scaled - z))) <= 1e-10
 
 
 class TestParameterChecks:
@@ -568,26 +595,30 @@ class TestBridges:
 
 class TestMonteCarlo:
     def test_harmonic_estimate_within_error(self):
-        est, stderr = fk_mc_partition(HARMONIC, 2.0, n_paths=20_000, seed=11)
-        assert stderr > 0
-        assert abs(est - SPECTRAL_HARMONIC) < 5 * stderr
+        est, rel = fk_mc_partition(HARMONIC, 2.0, n_paths=20_000, seed=11)
+        assert rel > 0
+        assert abs(math.expm1(LOG_SPECTRAL_HARMONIC - est)) < 5 * rel
 
     def test_estimate_near_the_largest_float(self):
         # c = -350: Y_k ~ e^{700}, and 100k of them sum past the largest float
         v = Potential.polynomial((-350.0, 0.0, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est, stderr = fk_mc_partition(v, 2.0)
-        assert abs(est - math.exp(700.0) * SPECTRAL_HARMONIC) < 5 * stderr
+            est, rel = fk_mc_partition(v, 2.0)
+        assert abs(math.expm1(700.0 + LOG_SPECTRAL_HARMONIC - est)) < 5 * rel
 
-    @pytest.mark.parametrize("v", [(-357.5, 0.0, 0.5), (-357.5, 0.0, 0.0, 0.0, 0.25)],
+    @pytest.mark.parametrize("v", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 0.25)],
                              ids=["closed_form", "grid"])
-    def test_path_value_past_the_float_range_raises(self, v):
-        # min A_k ~ -715: a ValueError, with no overflow warning
+    def test_path_values_past_the_largest_float(self, v):
+        # -357.5 + v: min A_k ~ -715, each Y_k past the largest float.  The
+        # estimate is ln Z(v) + 715 within 5 stderr, with no overflow warning
+        log_z, _ = spectral_partition(Potential.polynomial(v), 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="outside the float range"):
-                fk_mc_partition(Potential.polynomial(v), 2.0, n_paths=1000)
+            est, rel = fk_mc_partition(Potential.polynomial((-357.5, *v[1:])), 2.0,
+                                       n_paths=1000)
+        assert rel > 0
+        assert abs(math.expm1(715.0 + log_z - est)) < 5 * rel
 
     def test_deterministic_in_seed(self):
         a = fk_mc_partition(HARMONIC, 2.0, n_paths=5_000, seed=4)
@@ -635,24 +666,24 @@ class TestMonteCarlo:
         # one block, whole and partial, an odd block count, and a partial
         # last block: the two threads' interleaved blocks give the values
         # of one serial sampler's whole blocks
-        est, stderr = fk_mc_partition(v, 2.0, n_paths=n_paths, seed=6)
         y = block_values(v, 2.0, 1.0, 1.0, 64, 6, n_paths)
-        assert est == float(np.mean(y))
-        assert stderr == float(np.std(y, ddof=1) / math.sqrt(n_paths))
+        assert fk_mc_partition(v, 2.0, n_paths=n_paths, seed=6) == log_mean(y)
 
-    def test_stderr_of_values_under_the_float_range_of_squares(self, monkeypatch):
-        # values near 2^-1000 have squared deviations under 1e-600; scaled
-        # by a power of two, estimate and stderr scale exactly
-        plain = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=4)
+    def test_stderr_of_values_far_under_the_float_range(self, monkeypatch):
+        # path values near e^{-2000}, whose squares are near e^{-4000}: the
+        # estimate's log moves by -2000 and the relative stderr stays, up
+        # to the spacing of floats near 2000 (2.3e-13) in each ln Y_k
+        plain_est, plain_rel = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=4)
 
-        def scaled_sampler(*args):
+        def shifted_sampler(*args):
             values = _block_sampler(*args)
-            return lambda block: np.ldexp(values(block), -1000)
+            return lambda block: values(block) - 2000.0
 
-        monkeypatch.setattr(fk, "_block_sampler", scaled_sampler)
-        est, stderr = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=4)
-        assert stderr > 0
-        assert (est, stderr) == tuple(math.ldexp(x, -1000) for x in plain)
+        monkeypatch.setattr(fk, "_block_sampler", shifted_sampler)
+        est, rel = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=4)
+        assert rel > 0
+        assert abs(est + 2000.0 - plain_est) <= 1e-12
+        assert abs(rel / plain_rel - 1) <= 1e-13
 
     def test_threads_give_same_bits_under_fast_switching(self):
         # blocks run on two threads; with the interpreter switching threads
@@ -665,24 +696,24 @@ class TestMonteCarlo:
             est, _ = fk_mc_partition(HARMONIC, 2.0, n_paths=5_000, seed=12)
         finally:
             sys.setswitchinterval(old)
-        assert est == float(np.mean(y))
+        assert est == log_mean(y)[0]
 
     def test_one_slice_is_classical(self):
         # with one time slice the pinned bridge is identically 0, and every
         # path gives the classical z(beta, 0)
-        est, stderr = fk_mc_partition(HARMONIC, 2.0, m_slices=1, n_paths=100)
+        est, rel = fk_mc_partition(HARMONIC, 2.0, m_slices=1, n_paths=100)
         assert abs(est - classical_partition(HARMONIC, 2.0, 0.0, 1.0)) < 1e-7
-        assert stderr < 1e-12
+        assert rel < 1e-12
 
     def test_harmonic_estimate_matches_grid_oracle(self):
         est, _ = fk_mc_partition(HARMONIC, 2.0, n_paths=2_000, seed=2)
         grid = grid_path_values(HARMONIC, 2.0, 1.0, 1.0, 64, 2, 2_000)
-        assert abs(est - float(np.mean(grid))) < 1e-10
+        assert abs(est - log_mean(grid)[0]) < 1e-10
 
 
 def grid_path_values(v, beta, m, hbar, m_slices, seed, n_paths):
-    """Oracle for Y_k = (1/lambda) int dq e^{-A_k(q)}, v evaluated directly:
-    A_k(q) = sum_j' tw_j v(q + w_kj) over the rows w_k of
+    """Oracle for ln Y_k, Y_k = (1/lambda) int dq e^{-A_k(q)}, v evaluated
+    directly: A_k(q) = sum_j' tw_j v(q + w_kj) over the rows w_k of
     sample_bridge_ensemble, and Y_k = (dq/lambda) sum_q e^{-A_k(q)} on the
     sampler's 161-node box."""
     w = sample_bridge_ensemble(beta, m_slices, n_paths, m, hbar, seed)
@@ -695,11 +726,11 @@ def grid_path_values(v, beta, m, hbar, m_slices, seed, n_paths):
     low = action.min(axis=1)
     lam = math.sqrt(2 * math.pi * beta * hbar ** 2 / m)
     weights = np.exp(low[:, None] - action).sum(axis=1)
-    return weights * np.exp(-low) * (q[1] - q[0]) / lam
+    return np.log(weights * (q[1] - q[0]) / lam) - low
 
 
 def _gaussian_path_values(coeffs, beta, m, hbar, m_slices, n_paths, seed):
-    """Y_k of the quadratic well c0 + c1 q + c2 q^2 from its bridges: the
+    """ln Y_k of the quadratic well c0 + c1 q + c2 q^2 from its bridges: the
     trapezoid moments S_p of w^p give A_k(q) = a0 + a1 q + a2 q^2, and
     (1/lambda) int dq e^{-A_k} = sqrt(pi/a2) e^{a1^2/4a2 - a0}/lambda."""
     c0, c1, c2 = coeffs
@@ -710,7 +741,7 @@ def _gaussian_path_values(coeffs, beta, m, hbar, m_slices, n_paths, seed):
     a1 = c1 * s0 + 2 * c2 * s1
     a2 = c2 * s0
     lam = math.sqrt(2 * math.pi * beta * hbar ** 2 / m)
-    return np.sqrt(np.pi / a2) * np.exp(a1 ** 2 / (4 * a2) - a0) / lam
+    return 0.5 * np.log(np.pi / a2) - math.log(lam) + a1 ** 2 / (4 * a2) - a0
 
 
 class TestQuadraticClosedForm:
@@ -718,22 +749,23 @@ class TestQuadraticClosedForm:
         (2.0, 1.0, 1.0), (2.0, 0.5, 1.0), (2.0, 2.0, 1.0), (2.0, 1.0, 2.0),
         (20.0, 1.0, 1.0)])
     def test_harmonic_matches_grid_oracle(self, beta, hbar, m):
-        # the closed form and the float64 grid sum agree path by path
+        # the closed form and the float64 grid sum agree path by path, to
+        # 1e-12 relative in Y_k
         y = block_values(HARMONIC, beta, m, hbar, 64, 3, 1_000)
         grid = grid_path_values(HARMONIC, beta, m, hbar, 64, 3, 1_000)
-        np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(y, grid, rtol=0, atol=1e-12)
 
     def test_shifted_well_matches_grid_oracle(self):
         v = Potential.polynomial((0.3, -0.4, 0.7))
         y = block_values(v, 2.0, 1.0, 1.0, 64, 3, 1_000)
         grid = grid_path_values(v, 2.0, 1.0, 1.0, 64, 3, 1_000)
-        np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(y, grid, rtol=0, atol=1e-12)
 
     def test_quartic_matches_grid_oracle(self):
         # the moment trick against v summed over the slices
         y = block_values(QUARTIC, 2.0, 1.0, 1.0, 64, 3, 1_000)
         grid = grid_path_values(QUARTIC, 2.0, 1.0, 1.0, 64, 3, 1_000)
-        np.testing.assert_allclose(y, grid, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(y, grid, rtol=0, atol=1e-12)
 
     def test_trailing_zero_coefficients_take_the_closed_form(self):
         padded = Potential.polynomial((0.0, 0.0, 0.5, 0.0, 0.0))
@@ -745,17 +777,13 @@ class TestQuadraticClosedForm:
     @pytest.mark.parametrize("beta, m_slices", [(2.0, 64), (200.0, 256)])
     def test_matches_gaussian_integral_of_the_bridges(self, coeffs, beta,
                                                       m_slices):
-        # at beta = 200 most values underflow to 0 and the rest reach
-        # e^{-700}: compare where each is zero, then the exponents
+        # at beta = 200 most values would underflow to 0, and none of
+        # their logs does
         v = Potential.polynomial(coeffs)
         y = block_values(v, beta, 1.0, 1.0, m_slices, 7, 2_000)
         want = _gaussian_path_values(coeffs[:3], beta, 1.0, 1.0, m_slices,
                                      2_000, 7)
-        assert np.array_equal(y == 0, want == 0)
-        normal = want > np.finfo(float).tiny
-        assert normal.sum() >= 40
-        np.testing.assert_allclose(np.log(y[normal]), np.log(want[normal]),
-                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(y, want, rtol=1e-13, atol=0)
 
 
 class TestBoundsAndTauStar:
@@ -775,6 +803,16 @@ class TestBoundsAndTauStar:
         assert res["strictly_decreasing"]
         assert max(res["derivative_relative_errors"]) < 1e-8
 
+    @pytest.mark.parametrize("c", [0.0, 300.0])
+    def test_derivative_identity_rejects_a_doubled_formula(self, c, monkeypatch):
+        # with v_tau' scaled by sqrt 2 the formula doubles, a relative error
+        # of 0.5, also at c = 300, where z ~ 1e-261
+        derivative = Potential.derivative
+        monkeypatch.setattr(Potential, "derivative", lambda self: Potential(
+            tuple(math.sqrt(2) * x for x in derivative(self).coeffs)))
+        res = monotonicity_check(Potential.polynomial((c, 0.0, 0.5)), 2.0)
+        assert min(res["derivative_relative_errors"]) >= 0.4
+
     @pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
@@ -784,7 +822,7 @@ class TestBoundsAndTauStar:
         x = beta * hbar / math.sqrt(m)
         exact = 24 * m / (beta * hbar ** 2) * math.log(2 * math.sinh(x / 2) / x)
         ts = tau_star(HARMONIC, beta, m, hbar,
-                      z_target=1 / (2 * math.sinh(x / 2)))
+                      log_z_target=-math.log(2 * math.sinh(x / 2)))
         assert abs(ts - exact) < 1e-6
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
@@ -792,17 +830,18 @@ class TestBoundsAndTauStar:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
     def test_tau_star_meets_the_quartic_target(self, beta, hbar, m):
         target = classical_partition(QUARTIC, beta, beta / 3, m, hbar)
-        ts = tau_star(QUARTIC, beta, m, hbar, z_target=target)
-        z = classical_partition(QUARTIC, beta, ts, m, hbar)
-        assert abs(z - target) <= 1e-8 * target
+        ts = tau_star(QUARTIC, beta, m, hbar, log_z_target=target)
+        assert abs(classical_partition(QUARTIC, beta, ts, m, hbar) - target) <= 1e-8
 
     @pytest.mark.parametrize("v", [HARMONIC, QUARTIC])
     @pytest.mark.parametrize("hbar, m", [(1.0, 1.0), (0.5, 1.0), (2.0, 1.0),
                                          (1.0, 2.0)])
-    def test_tau_star_takes_at_most_ten_partition_calls(self, v, hbar, m,
-                                                        monkeypatch):
-        # the benchmark's bound_check settings: beta 2, the spectral target
-        target = spectral_partition(v, 2.0, m=m, hbar=hbar)
+    def test_tau_star_takes_at_most_seven_partition_calls(self, v, hbar, m,
+                                                          monkeypatch):
+        # the benchmark's bound_check settings: beta 2, the spectral target.
+        # ln z is linear in tau on the harmonic well: 3 calls there, 4-7 on
+        # the quartic
+        target, _ = spectral_partition(v, 2.0, m=m, hbar=hbar)
         calls = []
 
         def counting(*args):
@@ -810,17 +849,16 @@ class TestBoundsAndTauStar:
             return classical_partition(*args)
 
         monkeypatch.setattr(pt, "classical_partition", counting)
-        ts = tau_star(v, 2.0, m, hbar, z_target=target)
-        assert len(calls) <= 10
-        assert abs(classical_partition(v, 2.0, ts, m, hbar) - target) \
-            <= 1e-8 * target
+        ts = tau_star(v, 2.0, m, hbar, log_z_target=target)
+        assert len(calls) <= 7
+        assert abs(classical_partition(v, 2.0, ts, m, hbar) - target) <= 1e-8
 
     @pytest.mark.parametrize("z", [lambda t: 1 + (2 - t) ** 2 / 2,
                                    lambda t: 3 - t ** 2 / 2],
                              ids=["convex", "concave"])
     def test_tau_star_converges_fast_on_either_curvature(self, z, monkeypatch):
-        # false position keeps the lower end of a convex z and the upper end
-        # of a concave one; halving the kept end's value stops either stall
+        # false position keeps the lower end of a convex ln z and the upper
+        # end of a concave one; halving the kept end's value stops either stall
         calls = []
 
         def fake(v, beta, tau, m, hbar):
@@ -828,20 +866,39 @@ class TestBoundsAndTauStar:
             return z(tau)
 
         monkeypatch.setattr(pt, "classical_partition", fake)
-        ts = tau_star(HARMONIC, 2.0, z_target=2.0)
-        assert abs(z(ts) - 2.0) <= 2e-8
+        ts = tau_star(HARMONIC, 2.0, log_z_target=2.0)
+        assert abs(z(ts) - 2.0) <= 1e-8
         assert len(calls) <= 10
 
     def test_tau_star_raises_when_unconverged(self, monkeypatch):
-        # a z(beta, tau) that steps across the target never meets it
+        # a ln z(beta, tau) that steps across the target never meets it
         monkeypatch.setattr(pt, "classical_partition",
                             lambda v, beta, tau, m, hbar: 2.0 if tau < 0.7 else 1.0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            tau_star(HARMONIC, 2.0, z_target=1.5)
+            tau_star(HARMONIC, 2.0, log_z_target=1.5)
 
-    def test_tau_star_requires_target(self):
-        with pytest.raises(TypeError, match="z_target"):
+    def test_tau_star_requires_a_log_target(self):
+        # a caller passing z by the old keyword fails loudly
+        with pytest.raises(TypeError, match="log_z_target"):
             tau_star(HARMONIC, 2.0)
+        with pytest.raises(TypeError, match="z_target"):
+            tau_star(HARMONIC, 2.0, z_target=0.4)
+
+    def test_tau_star_rejects_a_target_under_the_bracket_before_any_step(
+            self, monkeypatch):
+        # 300 + q^2/2 at beta = 2: z(beta, beta) ~ 1.1e-261, and a target of
+        # 1e-300 lies far under it; only the two bracket values are taken
+        v = Potential.polynomial((300.0, 0.0, 0.5))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return classical_partition(*args)
+
+        monkeypatch.setattr(pt, "classical_partition", counting)
+        with pytest.raises(ValueError, match="outside the bracket"):
+            tau_star(v, 2.0, log_z_target=math.log(1e-300))
+        assert len(calls) == 2
 
     def test_bound_check_report(self):
         rep = bound_check(HARMONIC, 2.0, n_paths=5_000, seed=1)
@@ -850,3 +907,6 @@ class TestBoundsAndTauStar:
         assert d["z_lower"] <= d["mc_estimate"] + 5 * d["mc_stderr"]
         assert d["mc_estimate"] - 5 * d["mc_stderr"] <= d["z_upper"]
         assert 0.0 < d["tau_star"] <= 2.0
+        for name in ("z_upper", "z_lower", "spectral_reference", "mc_estimate"):
+            assert d[name] == math.exp(d["log_" + name])
+        assert d["mc_stderr"] == d["mc_estimate"] * d["mc_rel_stderr"]
