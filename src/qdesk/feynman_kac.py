@@ -238,8 +238,11 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
     values = np.empty((n_blocks, _BLOCK_PATHS))
 
     def run(task: int) -> None:
-        for block in range(task, n_blocks, 2):
-            values[block] = block_values(block)
+        # a path value past the float range is inf and the mean nan, which
+        # the finiteness test below reports; errstate is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in range(task, n_blocks, 2):
+                values[block] = block_values(block)
 
     # imported here: only the path sampler needs it
     from concurrent.futures import ThreadPoolExecutor
@@ -247,9 +250,10 @@ def fk_mc_partition(v: Potential, beta: float, m: float = 1.0, hbar: float = 1.0
         block_values = _block_sampler(v, beta, m, hbar, m_slices, seed)
         list(pool.map(run, range(2)))
     values = values.reshape(-1)[:n_paths]
-    top = float(values.max())
-    x = np.exp(np.subtract(values, top, out=values), out=values)
-    mean = float(np.mean(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = float(values.max())
+        x = np.exp(np.subtract(values, top, out=values), out=values)
+        mean = float(np.mean(x))
     log_estimate = math.log(mean) + top
     if not math.isfinite(log_estimate):
         raise ValueError(f"tr e^{{-beta H}} has no finite estimate: "

@@ -29,12 +29,9 @@ O(n^2 log n) time and O(n^2) memory.
   are built: g[j] = c(j) + conj(c(n - j)), j = 0..n/2, is the half-spectrum
   of a real sequence, one real inverse FFT per position gives the symbol,
   and an fftshift puts p = 0 in row n/2.  Other kernels go by linearity.
-- One helper moves samples half a step along an axis: FFT, factor
-  exp(i pi m/n) for signed m with the Nyquist term (0 at half-steps)
-  dropped, inverse FFT.
 - Wigner lag l reads the kernel at half-step indices (2k - l, 2k + l), both
-  of the parity of l: even lags from K, odd lags from K moved along both
-  axes, two n x n tables.  A pure state gathers u[2k - l] conj(u[2k + l])
+  of the parity of l: even lags from K, odd lags from K moved half a step
+  along both axes (_half_step), two n x n tables.  A pure state gathers u[2k - l] conj(u[2k + l])
   from u = psi interleaved with psi moved, 2n samples.  The lags are built
   a block of positions at a time, small enough to stay in L2 cache.
 - The Weyl map reads the same sum the other way: diagonal d = k - k' of
@@ -43,13 +40,11 @@ O(n^2 log n) time and O(n^2) memory.
   ihfft yields the rows d = 0..n/2 and conjugation the rest.  Odd rows
   move half a step along q.
 - Gaussian smoothing transforms along q, the contiguous axis, in row
-  blocks and keeps only the q-band: the q-frequencies up to the last whose
-  Gaussian factor, normalized to 1 at frequency 0, exceeds 2^-52.  The
-  p-transforms run in place on it, and the inverse real FFT along q
-  zero-pads the rest, again in row blocks.  So the wigner scenario takes
-  the Husimi minimum at about 1.4 fields of memory, and to_csv holds one
-  row.  Dropping them moves each value by at most 2^-52 times the root
-  sum of squares of the field (Cauchy-Schwarz and Parseval).
+  blocks and keeps only the q-frequencies whose Gaussian factor exceeds
+  2^-52 (gauss_smooth); the p-transforms run in place on them.
+Row blocks hold at most _LAG_BLOCK_CELLS cells, so the wigner scenario
+peaks at about 1.2 fields at n = 1024, variance_from_entropic at about 1.3
+(its one n^2 buffer of terms), and to_csv holds one row.
 """
 
 from __future__ import annotations
@@ -253,37 +248,44 @@ def pseudo_classical_state(psi: GridWavefunction) -> PhaseSpaceField:
     return PhaseSpaceField(spec, w)
 
 
-def _phase_space_entropy(field: PhaseSpaceField, reference: np.ndarray | None = None) -> float:
-    """-<w, ln v> with v = w by default; cells below 1e-300 contribute 0."""
-    spec = field.spec
-    cell = spec.dp * spec.dq / (2 * math.pi * spec.hbar)
-    w = field.values.real
-    v = w if reference is None else reference
-    mask = (w > 1e-300) & (v > 1e-300)
-    return float(-np.sum(w[mask] * np.log(v[mask])) * cell)
-
-
 def variance_from_entropic(psi: GridWavefunction) -> dict:
     """Inequality chain ln(e/2) <= -<w,ln w> <= -<w,ln wt> = ln(e sP sQ/hbar)
     for the pseudo-classical state w and the moment-matched Gaussian
-    comparison density wt; entropy - bound is the entropic margin."""
-    spec = psi.spec
-    field = pseudo_classical_state(psi)
+    comparison density wt; entropy - bound is the entropic margin.
+
+    w and wt are built a block of p-rows at a time, each cell as in the
+    whole field.  An entropy writes its terms w ln v over the cells where
+    w, v > 1e-300 in row-major order into one n^2 buffer, summed by one
+    np.sum: the whole-field sums bit for bit, in one field of memory."""
+    spec, n = psi.spec, psi.spec.n
     mean_q, var_q = position_moments(psi)
     mean_p, var_p = momentum_moments(psi)
     sp, sq = math.sqrt(var_p), math.sqrt(var_q)
-    p = spec.momentum_grid()[:, None]
-    q = spec.position_grid()[None, :]
-    wt = (spec.hbar / (sp * sq)
-          * np.exp(-(p - mean_p) ** 2 / (2 * var_p) - (q - mean_q) ** 2 / (2 * var_q)))
-    ent = _phase_space_entropy(field)
-    cross = _phase_space_entropy(field, reference=np.maximum(wt, 1e-300))
-    gauss_form = math.log(math.e * sp * sq / spec.hbar)
+    rho_p, rho_q = np.abs(to_momentum(psi)) ** 2, psi.density()
+    arg_p = -(spec.momentum_grid() - mean_p) ** 2 / (2 * var_p)
+    arg_q = (spec.position_grid() - mean_q) ** 2 / (2 * var_q)
+    cell = spec.dp * spec.dq / (2 * math.pi * spec.hbar)
+    terms = np.empty(n * n)
+    step = max(1, _LAG_BLOCK_CELLS // (4 * n))  # a block's arrays: < 1 lag block
+
+    def entropy(gaussian: bool) -> float:
+        end = 0
+        for k0 in range(0, n, step):
+            v = w = 2 * math.pi * spec.hbar * np.outer(rho_p[k0:k0 + step], rho_q)
+            if gaussian:
+                v = spec.hbar / (sp * sq) * np.exp(
+                    np.subtract.outer(arg_p[k0:k0 + step], arg_q))
+            mask = ((w > 1e-300) & (v > 1e-300)).ravel()
+            logs = np.log(v.ravel()[mask])
+            start, end = end, end + len(logs)
+            np.multiply(w.ravel()[mask], logs, out=terms[start:end])
+        return float(-np.sum(terms[:end]) * cell)
+
     return {
         "bound": 1 - math.log(2),
-        "entropy": ent,
-        "cross_entropy": cross,
-        "gaussian_form": gauss_form,
+        "entropy": entropy(False),
+        "cross_entropy": entropy(True),
+        "gaussian_form": math.log(math.e * sp * sq / spec.hbar),
         "sigma_product": sp * sq,
         "implied_lower_bound": spec.hbar / 2,
     }
@@ -306,20 +308,19 @@ _LAG_BLOCK_CELLS = 1 << 16
 
 
 def _pure_lags(samples: np.ndarray):
-    """Lag rows of the rank-one kernel u u^dag, u[2j] = psi[j] and
-    u[2j + 1] = _half_step(psi)[j]:
-    rows(k0, k1)[k - k0, l] = u[2k - l] conj(u[2k + l]) for l in [0, n),
-    zero where an index leaves the fine grid."""
+    """Lag rows of u u^dag, u[2j] = psi[j], u[2j + 1] = _half_step(psi)[j]:
+    rows(k0, k1, lags)[k - k0, i] = u[2k - l] conj(u[2k + l]) for
+    l = range(n)[lags][i], 0 where an index leaves the fine grid."""
     n = len(samples)
     padded = np.zeros(4 * n, dtype=complex)
     padded[n:3 * n:2] = samples
     padded[n + 1:3 * n:2] = _half_step(samples, 0)
-    windows = sliding_window_view(padded, n)
+    windows = sliding_window_view(padded, n)[:, ::-1]
     conj_windows = sliding_window_view(padded.conj(), n)
 
-    def rows(k0, k1):
-        return (windows[2 * k0 + 1:2 * k1 + 1:2, ::-1]
-                * conj_windows[n + 2 * k0:n + 2 * k1:2])
+    def rows(k0, k1, lags):
+        return (windows[2 * k0 + 1:2 * k1 + 1:2, lags]
+                * conj_windows[n + 2 * k0:n + 2 * k1:2, lags])
 
     return rows
 
@@ -332,10 +333,10 @@ def _kernel_lags(kernel: np.ndarray):
     n = len(kernel)
     tables = np.concatenate([kernel.ravel(),
                              _half_step(_half_step(kernel, 0), 1).ravel()])
-    lags = np.arange(n)
-    offset = (lags & 1) * (n * n)
 
-    def rows(k0, k1):
+    def rows(k0, k1, lags):
+        lags = np.arange(n)[lags]
+        offset = (lags & 1) * (n * n)
         k = np.arange(k0, k1)[:, None]
         a, b = k - (lags + 1) // 2, k + lags // 2
         inside = (a >= 0) & (b < n)
@@ -347,20 +348,24 @@ def _kernel_lags(kernel: np.ndarray):
 def _hermitian_wigner(rows, spec: GridSpec) -> np.ndarray:
     """Wigner array of a Hermitian kernel from its lag rows l = 0..n-1, lag
     l at r = l dq/2.  Lag -n (r = -L/2) has no mirror partner on the
-    half-step grid and is dropped, so g[0] = c(0) and the symbol is real."""
+    half-step grid and is dropped, so g[0] = c(0) and the symbol is real.
+    The partners c(n - j) are built apart and conjugated in place, and a
+    block is freed before the next: one lag block and its rows are held."""
     n = spec.n
     w = np.empty((n, n))
     step = max(1, _LAG_BLOCK_CELLS // n)
     for k0 in range(0, n, step):
         k1 = min(n, k0 + step)
-        c = rows(k0, k1)
-        g = c[:, :n // 2 + 1]
-        g[:, 1:] += c[:, n - 1:n // 2 - 1:-1].conj()
+        g = rows(k0, k1, slice(0, n // 2 + 1))
+        partners = rows(k0, k1, slice(n - 1, n // 2 - 1, -1))
+        g[:, 1:] += np.conjugate(partners, out=partners)
+        del partners
         x = np.fft.irfft(g, n, axis=1)
         x *= n * spec.dq
         # fftshift along p, transposed into the [p, q] layout
         w[:n // 2, k0:k1] = x[:, n // 2:].T
         w[n // 2:, k0:k1] = x[:, :n // 2].T
+        del g, x
     return w
 
 
@@ -377,8 +382,7 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
 
     A GridWavefunction whose |psi| at the grid edge, or whose |psi_hat| at
     the momentum edge, exceeds 1e-10 of its peak raises ValueError; a
-    kernel is taken as given, with no edge check, but must have shape
-    (n, n).
+    kernel must have shape (n, n) and gets no edge check.
     """
     if isinstance(state, GridWavefunction):
         spec = state.spec
@@ -543,20 +547,16 @@ class QuadraticSymbol:
         return c0 + cp * p + cq * q + cpp * p ** 2 + cqq * q ** 2 + cpq * p * q
 
     def field(self, spec: GridSpec) -> PhaseSpaceField:
-        p = spec.momentum_grid()[:, None]
-        q = spec.position_grid()[None, :]
-        return PhaseSpaceField(spec, self(p, q))
+        return PhaseSpaceField(spec, self(spec.momentum_grid()[:, None],
+                                          spec.position_grid()))
 
     def fine_field(self, spec: GridSpec) -> np.ndarray:
-        p = spec.momentum_grid()[:, None]
-        q = spec.fine_position_grid()[None, :]
-        return np.asarray(self(p, q) + 0j)
+        return self(spec.momentum_grid()[:, None], spec.fine_position_grid()) + 0j
 
 
 def _linear_product(u: tuple, v: tuple) -> "QuadraticSymbol":
     """Product of two linear forms (c0, cp, cq) as a QuadraticSymbol."""
-    u0, up, uq = u
-    v0, vp, vq = v
+    (u0, up, uq), (v0, vp, vq) = u, v
     return QuadraticSymbol(c0=u0 * v0, cp=u0 * vp + up * v0,
                            cq=u0 * vq + uq * v0, cpp=up * vp, cqq=uq * vq,
                            cpq=up * vq + uq * vp)
@@ -604,8 +604,7 @@ def moyal_poisson_check(a: "QuadraticSymbol", b: "QuadraticSymbol",
     p_half = math.pi * spec.hbar / spec.dq / 2
     probes_p = np.linspace(-p_half / 2, p_half / 2, _MOYAL_PROBES)
 
-    worst = 0.0
-    scale = 1.0
+    worst, scale = 0.0, 1.0
     for q0 in probes_q:
         for p0 in probes_p:
             phi = gaussian_packet(spec, alpha2, q0=float(q0), p0=float(p0))

@@ -32,6 +32,7 @@ PAULI = (SX, SY, SZ)
 _ID2 = np.eye(2, dtype=complex)
 _ANTISYMMETRY_TOL = 1e-10  # |m(e) + m(-e)| a sphere measure may have
 _FIT_DIRECTIONS = 200  # sampled directions in linear_fit_residual
+_SPHERE_BLOCK = 1 << 12  # directions drawn and valued at a time
 
 
 def _sgn(x):
@@ -167,11 +168,25 @@ def hv_value(obs: SpinObservable, state: BlochState, omega) -> float:
     return float(_hv_values(obs, state, _unit(omega, "omega")))
 
 
-def sample_sphere(n: int, seed: int) -> np.ndarray:
-    """n uniform unit 3-vectors; normalized Gaussians, counter-based RNG."""
+def _sphere_blocks(n: int, seed: int):
+    """Yield (rows, directions) for the n directions of sample_sphere,
+    _SPHERE_BLOCK at a time from one Philox stream: each block continues the
+    stream, so the blocks are the rows of one draw, bit for bit."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    for k0 in range(0, n, _SPHERE_BLOCK):
+        v = rng.standard_normal((min(_SPHERE_BLOCK, n - k0), 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        yield slice(k0, k0 + len(v)), v
+
+
+def sample_sphere(n: int, seed: int) -> np.ndarray:
+    """n uniform unit 3-vectors: Gaussian triples from a Philox stream keyed
+    by ``seed``, each divided by its norm.  hv_expectation draws the same
+    stream in blocks (``_sphere_blocks``) and never holds the (n, 3) array."""
+    v = np.empty((n, 3))
+    for rows, block in _sphere_blocks(n, seed):
+        v[rows] = block
+    return v
 
 
 def hv_analytic_expectation(obs: SpinObservable, state: BlochState) -> float:
@@ -192,12 +207,23 @@ def hv_analytic_expectation(obs: SpinObservable, state: BlochState) -> float:
 def hv_expectation(obs: SpinObservable, state: BlochState,
                    n_samples: int, seed: int) -> dict:
     """Monte Carlo sphere average of the hidden-variable value, with the
-    closed-form value alongside."""
+    closed-form value alongside.
+
+    The directions are those of ``sample_sphere(n_samples, seed)``, drawn
+    and valued a block at a time, so only the n_samples values are held
+    (8 bytes each).  The estimate is their np.mean and the stderr their
+    np.std(ddof=1) over sqrt(n_samples), bit for bit: the deviations are
+    squared in place of the values, not in a copy."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    vals = _hv_values(obs, state, sample_sphere(n_samples, seed))
+    vals = np.empty(n_samples)
+    for rows, omegas in _sphere_blocks(n_samples, seed):
+        vals[rows] = _hv_values(obs, state, omegas)
     est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    stderr = 0.0
+    if n_samples > 1:
+        np.square(np.subtract(vals, est, out=vals), out=vals)
+        stderr = math.sqrt(float(np.sum(vals)) / (n_samples - 1)) / math.sqrt(n_samples)
     return {
         "estimate": est,
         "stderr": stderr,

@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qdesk import cli
 from qdesk.feynman_kac import PartitionReport
@@ -51,6 +53,37 @@ FAST_ARGS = {
 }
 
 
+def config(argv) -> cli.RunConfig:
+    """The RunConfig that ``qdesk`` builds from ``argv``."""
+    args = cli.build_parser().parse_args(argv)
+    return cli.RunConfig(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(cli.RunConfig)})
+
+
+KiB, MiB = 2 ** 10, 2 ** 20
+FIELD_512, FIELD_1024 = 8 * 512 ** 2, 8 * 1024 ** 2  # bytes of a float64 n x n field
+
+# The argvs of perfbench's cli_mix workload, each with the traced peak of
+# its cli.run in bytes.  A scenario holds at most one field-sized array
+# besides its output; the wigner rows add one block of lags and its symbol
+# rows (1.2 fields at n = 1024), entropic its n^2 buffer of entropy terms
+# and a few row blocks, hv the 8-byte values of its samples and one block of
+# directions.  fk holds the path values and each MC thread's block arrays.
+MEMORY_BUDGETS = {
+    "inin": (["--scenario", "inin", "--seed", "7"], 64 * KiB),
+    "bell": (["--scenario", "bell"], 64 * KiB),
+    "bell-werner": (["--scenario", "bell", "--state", "werner:0.9"], 64 * KiB),
+    "mermin": (["--scenario", "mermin"], 64 * KiB),
+    "gleason": (["--scenario", "gleason", "--seed", "7"], 64 * KiB),
+    "hv": (["--scenario", "hv"], 16 * 100_000),
+    "entropic": (["--scenario", "entropic"], 1.5 * FIELD_512),
+    "fk": (["--scenario", "fk", "--paths", "20000"], 2 * MiB),
+    "fk-hbar0.5": (["--scenario", "fk", "--paths", "20000", "--hbar", "0.5"], 2 * MiB),
+    "wigner-1024": (["--scenario", "wigner", "--grid-n", "1024"], 1.2 * FIELD_1024),
+    "wigner-512": (["--scenario", "wigner", "--grid-n", "512"], FIELD_512 + 0.2 * FIELD_1024),
+}
+
+
 class TestScenarios:
     @pytest.mark.parametrize("scenario", sorted(FAST_ARGS))
     def test_scenario_passes(self, capsys, scenario):
@@ -81,18 +114,18 @@ class TestScenarios:
         assert code == 0
         assert calls == [json.loads(out)["results"]["chsh_value"]]
 
-    def test_wigner_peak_allocation_within_budget(self):
-        # the field, the smoothing's q-band and one block of smoothed rows:
-        # the Husimi minimum is taken block by block, so no second field
-        # (the Husimi density, |W| or the full q-spectrum) is ever held
+    @pytest.mark.parametrize("name", sorted(MEMORY_BUDGETS))
+    def test_peak_allocation_within_budget(self, name):
+        argv, budget = MEMORY_BUDGETS[name]
+        cfg = config(argv)
+        cli.run(cfg)  # not counted: the lazy imports (fk's thread pool)
         tracemalloc.start()
         try:
-            record, field = cli.run(cli.RunConfig(scenario="wigner", grid_n=1024))
+            cli.run(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * field.values.nbytes
-        assert record.results["max_abs"] == float(np.max(np.abs(field.values)))
+        assert peak <= budget
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
     def test_wigner_husimi_min_is_the_smoothed_fields_minimum(self, hbar):
@@ -100,6 +133,7 @@ class TestScenarios:
                                               hbar=hbar))
         husimi = cli.ps.gauss_smooth(field, hbar / 2, hbar / 2)
         assert record.results["husimi_min"] == float(husimi.values.min())
+        assert record.results["max_abs"] == float(np.max(np.abs(field.values)))
 
     def test_mermin_search_empty(self, capsys):
         code, out = run_cli(capsys, "--scenario", "mermin")
@@ -262,6 +296,35 @@ class TestOutputs:
         assert len(lines) == 128 ** 2 + 1
 
 
+    def test_wigner_csv_bytes_of_whole_lag_blocks(self, capsys, tmp_path):
+        # the field as built before the partner lags were split off: each
+        # block's lags 0..n-1 at once, the partners conjugated in a copy
+        path = tmp_path / "field.csv"
+        argv = ["--scenario", "wigner", "--grid-n", "512", "--format", "csv"]
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        psi = cli._packet(config(argv))
+        spec, n = psi.spec, psi.spec.n
+        u = np.zeros(4 * n, dtype=complex)
+        u[n:3 * n:2] = psi.samples
+        u[n + 1:3 * n:2] = cli.ps._half_step(psi.samples, 0)
+        windows = sliding_window_view(u, n)
+        conj_windows = sliding_window_view(u.conj(), n)
+        w = np.empty((n, n))
+        step = cli.ps._LAG_BLOCK_CELLS // n
+        for k0 in range(0, n, step):
+            k1 = k0 + step
+            c = (windows[2 * k0 + 1:2 * k1 + 1:2, ::-1]
+                 * conj_windows[n + 2 * k0:n + 2 * k1:2])
+            g = c[:, :n // 2 + 1]
+            g[:, 1:] += c[:, n - 1:n // 2 - 1:-1].conj()
+            x = np.fft.irfft(g, n, axis=1) * (n * spec.dq)
+            w[:n // 2, k0:k1] = x[:, n // 2:].T
+            w[n // 2:, k0:k1] = x[:, :n // 2].T
+        reference = tmp_path / "reference.csv"
+        cli.ps.PhaseSpaceField(spec, w).to_csv(reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+
 class TestExitCodes:
     def test_bad_scenario_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -315,9 +378,12 @@ class TestExitCodes:
 
     def test_path_values_without_a_finite_mean_exit_2(self, capsys):
         # 1e300 q^2: a path's a1^2/4a2 overflows, and the estimate's log is
-        # not finite
-        assert cli.main(["--scenario", "fk", "--paths", "2000",
-                         "--potential", "0,0,1e300"]) == 2
+        # not finite.  The overflow is reported by the exit, not by numpy
+        # warnings on stderr, here raised as errors in every thread
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--scenario", "fk", "--paths", "2000",
+                             "--potential", "0,0,1e300"]) == 2
         assert "no finite estimate" in capsys.readouterr().err
 
     def test_subnormal_trace_keeps_a_relative_stderr(self, capsys):

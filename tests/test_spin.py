@@ -1,5 +1,7 @@
 """Tests for spin-1/2 observables, Bloch states, and hidden-variable models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qdesk.spin import (
     BlochState,
     SphereMeasureFn,
     SpinObservable,
+    _SPHERE_BLOCK,
     _hv_values,
     _sgn,
     hv_analytic_expectation,
@@ -169,6 +172,27 @@ class TestHiddenVariable:
         a = hv_expectation(obs, state, n_samples=10_000, seed=3)
         b = hv_expectation(obs, state, n_samples=10_000, seed=3)
         assert a["estimate"] == b["estimate"]
+
+    @pytest.mark.parametrize("n", [
+        1, 2, _SPHERE_BLOCK - 1, _SPHERE_BLOCK, _SPHERE_BLOCK + 1, 100_000])
+    def test_blocks_give_the_mean_and_std_of_one_draw(self, n):
+        # the directions come a block at a time and the deviations are
+        # squared in place: still np.mean and np.std over one array
+        obs = SpinObservable(-0.4, np.array([0.3, -1.2, 0.8]))
+        state = BlochState(np.array([0.2, 0.1, -0.5]))
+        vals = _hv_values(obs, state, sample_sphere(n, seed=9))
+        res = hv_expectation(obs, state, n_samples=n, seed=9)
+        assert res["estimate"] == float(np.mean(vals))
+        std = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        assert res["stderr"] == std
+
+    @pytest.mark.parametrize("n", [
+        0, 1, _SPHERE_BLOCK - 1, _SPHERE_BLOCK, _SPHERE_BLOCK + 1, 3 * _SPHERE_BLOCK + 5])
+    def test_sample_sphere_is_one_draw(self, n):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        v = rng.standard_normal((n, 3))
+        expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(sample_sphere(n, seed=5), expected)
 
     def test_sample_sphere_unit_norm(self):
         pts = sample_sphere(1000, seed=1)
