@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .operators import _one_blas_thread, _require_positive
 from .phasespace import GridSpec, grid_hamiltonian
@@ -55,10 +54,10 @@ class Potential:
         return cls(tuple(coeffs))
 
     def __call__(self, q):
-        return npoly.polyval(np.asarray(q, dtype=float), self.coeffs)
+        return np.polyval(self.coeffs[::-1], np.asarray(q, dtype=float))
 
     def derivative(self) -> "Potential":
-        return Potential(tuple(npoly.polyder(self.coeffs)))
+        return Potential(tuple(i * c for i, c in enumerate(self.coeffs) if i) or (0.0,))
 
 
 def gauss_transform_potential(v: Potential, tau: float, m: float,

@@ -43,8 +43,8 @@ O(n^2 log n) time and O(n^2) memory.
   blocks and keeps only the q-frequencies whose Gaussian factor exceeds
   2^-52 (gauss_smooth); the p-transforms run in place on them.
 Row blocks hold at most _LAG_BLOCK_CELLS cells, so the wigner scenario
-peaks at about 1.2 fields at n = 1024, variance_from_entropic at about 1.3
-(its one n^2 buffer of terms), and to_csv holds one row.
+peaks at about 1.2 fields at n = 1024, and to_csv holds one row.
+variance_from_entropic sums over the two marginals and builds no field.
 """
 
 from __future__ import annotations
@@ -253,38 +253,33 @@ def variance_from_entropic(psi: GridWavefunction) -> dict:
     for the pseudo-classical state w and the moment-matched Gaussian
     comparison density wt; entropy - bound is the entropic margin.
 
-    w and wt are built a block of p-rows at a time, each cell as in the
-    whole field.  An entropy writes its terms w ln v over the cells where
-    w, v > 1e-300 in row-major order into one n^2 buffer, summed by one
-    np.sum: the whole-field sums bit for bit, in one field of memory."""
-    spec, n = psi.spec, psi.spec.n
+    w = 2 pi hbar rho_p(p) rho_q(q) is a product and ln wt =
+    ln(hbar/(sP sQ)) + a_p(p) - a_q(q) a sum, so both cell sums split into
+    sums over the marginals P = rho_p dp and Q = rho_q dq:
+        entropy = -[SP SQ ln(2 pi hbar) + SQ P.ln rho_p + SP Q.ln rho_q],
+        cross_entropy = -[SP SQ ln(hbar/(sP sQ)) + SQ P.a_p - SP Q.a_q],
+    with the totals SP, SQ kept, since a state's norm may be off by 1e-8.
+    ln rho is summed where rho > 0 (0 ln 0 = 0); ln wt is taken
+    analytically, so no cell is dropped where wt underflows."""
+    spec = psi.spec
     mean_q, var_q = position_moments(psi)
     mean_p, var_p = momentum_moments(psi)
     sp, sq = math.sqrt(var_p), math.sqrt(var_q)
     rho_p, rho_q = np.abs(to_momentum(psi)) ** 2, psi.density()
-    arg_p = -(spec.momentum_grid() - mean_p) ** 2 / (2 * var_p)
-    arg_q = (spec.position_grid() - mean_q) ** 2 / (2 * var_q)
-    cell = spec.dp * spec.dq / (2 * math.pi * spec.hbar)
-    terms = np.empty(n * n)
-    step = max(1, _LAG_BLOCK_CELLS // (4 * n))  # a block's arrays: < 1 lag block
-
-    def entropy(gaussian: bool) -> float:
-        end = 0
-        for k0 in range(0, n, step):
-            v = w = 2 * math.pi * spec.hbar * np.outer(rho_p[k0:k0 + step], rho_q)
-            if gaussian:
-                v = spec.hbar / (sp * sq) * np.exp(
-                    np.subtract.outer(arg_p[k0:k0 + step], arg_q))
-            mask = ((w > 1e-300) & (v > 1e-300)).ravel()
-            logs = np.log(v.ravel()[mask])
-            start, end = end, end + len(logs)
-            np.multiply(w.ravel()[mask], logs, out=terms[start:end])
-        return float(-np.sum(terms[:end]) * cell)
-
+    p_mass, q_mass = rho_p * spec.dp, rho_q * spec.dq
+    sum_p, sum_q = float(p_mass.sum()), float(q_mass.sum())
+    log_p, log_q = (float(x[r > 0] @ np.log(r[r > 0]))
+                    for x, r in ((p_mass, rho_p), (q_mass, rho_q)))
+    a_p = -(spec.momentum_grid() - mean_p) ** 2 / (2 * var_p)
+    a_q = (spec.position_grid() - mean_q) ** 2 / (2 * var_q)
+    entropy = -(sum_p * sum_q * math.log(2 * math.pi * spec.hbar)
+                + sum_q * log_p + sum_p * log_q)
+    cross_entropy = -(sum_p * sum_q * math.log(spec.hbar / (sp * sq))
+                      + sum_q * float(p_mass @ a_p) - sum_p * float(q_mass @ a_q))
     return {
         "bound": 1 - math.log(2),
-        "entropy": entropy(False),
-        "cross_entropy": entropy(True),
+        "entropy": entropy,
+        "cross_entropy": cross_entropy,
         "gaussian_form": math.log(math.e * sp * sq / spec.hbar),
         "sigma_product": sp * sq,
         "implied_lower_bound": spec.hbar / 2,

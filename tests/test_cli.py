@@ -66,8 +66,8 @@ FIELD_512, FIELD_1024 = 8 * 512 ** 2, 8 * 1024 ** 2  # bytes of a float64 n x n 
 # The argvs of perfbench's cli_mix workload, each with the traced peak of
 # its cli.run in bytes.  A scenario holds at most one field-sized array
 # besides its output; the wigner rows add one block of lags and its symbol
-# rows (1.2 fields at n = 1024), entropic its n^2 buffer of entropy terms
-# and a few row blocks, hv the 8-byte values of its samples and one block of
+# rows (1.2 fields at n = 1024), entropic only length-n arrays of its two
+# marginals, hv the 8-byte values of its samples and one block of
 # directions.  fk holds the path values and each MC thread's block arrays.
 MEMORY_BUDGETS = {
     "inin": (["--scenario", "inin", "--seed", "7"], 64 * KiB),
@@ -76,7 +76,7 @@ MEMORY_BUDGETS = {
     "mermin": (["--scenario", "mermin"], 64 * KiB),
     "gleason": (["--scenario", "gleason", "--seed", "7"], 64 * KiB),
     "hv": (["--scenario", "hv"], 16 * 100_000),
-    "entropic": (["--scenario", "entropic"], 1.5 * FIELD_512),
+    "entropic": (["--scenario", "entropic"], 128 * KiB),
     "fk": (["--scenario", "fk", "--paths", "20000"], 2 * MiB),
     "fk-hbar0.5": (["--scenario", "fk", "--paths", "20000", "--hbar", "0.5"], 2 * MiB),
     "wigner-1024": (["--scenario", "wigner", "--grid-n", "1024"], 1.2 * FIELD_1024),
@@ -589,6 +589,17 @@ class TestStartup:
                  "    code = cli.main(['--scenario', 'fk', '--paths', '2000'])\n"
                  "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         assert run_python(probe).strip() == "0 []"
+
+    def test_cli_leaves_numpy_polynomial_unloaded(self):
+        # Potential evaluates by np.polyval: numpy.polynomial would add nine
+        # modules to every start-up
+        probe = ("import contextlib, io, sys\n"
+                 "from qdesk import cli\n"
+                 "print('numpy.polynomial' in sys.modules)\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = cli.main(['--scenario', 'fk', '--paths', '2000'])\n"
+                 "print(code, 'numpy.polynomial' in sys.modules)")
+        assert run_python(probe).split("\n")[:2] == ["False", "0 False"]
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
     def test_spectral_reference_leaves_no_blas_worker_spinning(self):

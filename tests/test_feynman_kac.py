@@ -55,6 +55,35 @@ class TestPotential:
         d = QUARTIC.derivative()
         assert abs(float(d(2.0)) - 8.0) < 1e-12
 
+    def test_constant_derivative_is_zero(self):
+        assert Potential.polynomial((3.0,)).derivative().coeffs == (0.0,)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_term_by_term_sum(self, seed):
+        # v and v' against their terms c_i q^i and i c_i q^(i-1), added
+        # exactly by math.fsum.  Horner's rule on degree d is off by at most
+        # 2d roundings of 2^-53 of the sum of |terms|, and each term by two
+        # or three: the tolerance 4 (d + 1) of them keeps a factor to spare
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.integers(-2, 3, seed + 3)
+        c = (rng.standard_normal(seed + 3) * scales).tolist()
+        v = Potential.polynomial(c)
+        q = rng.uniform(-4.0, 4.0, 40)
+
+        def v_terms(x):
+            return [ci * x ** i for i, ci in enumerate(c)]
+
+        def dv_terms(x):
+            return [i * ci * x ** (i - 1) for i, ci in enumerate(c) if i]
+
+        for f, terms_at in ((v, v_terms), (v.derivative(), dv_terms)):
+            values = f(q)
+            assert float(f(float(q[0]))) == values[0]
+            for x, value in zip(q.tolist(), values.tolist()):
+                terms = terms_at(x)
+                tol = 4 * len(c) * 2.0 ** -53 * math.fsum(map(abs, terms))
+                assert abs(value - math.fsum(terms)) <= tol
+
 
 class TestGaussTransform:
     def test_harmonic_shift(self):
