@@ -70,7 +70,7 @@ def singlet() -> DensityOperator:
     m = _ID4.copy()
     for s in PAULI:
         m -= tensor(s, s)
-    return DensityOperator(HermitianOperator(m / 4.0))
+    return DensityOperator(m / 4.0)
 
 
 def bell_states() -> tuple[DensityOperator, DensityOperator]:
@@ -80,7 +80,7 @@ def bell_states() -> tuple[DensityOperator, DensityOperator]:
     out = []
     for sign in (+1, -1):
         phi = (np.kron(e1, e1) + sign * np.kron(e2, e2)) / math.sqrt(2)
-        out.append(DensityOperator(HermitianOperator(np.outer(phi, phi.conj()))))
+        out.append(DensityOperator(np.outer(phi, phi.conj())))
     return out[0], out[1]
 
 
@@ -117,7 +117,7 @@ def werner_state(x: float) -> DensityOperator:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x = {x} outside [0, 1]")
     m = x * singlet().matrix + (1 - x) * _ID4 / 4.0
-    return DensityOperator(HermitianOperator(m))
+    return DensityOperator(m)
 
 
 def classical_chsh_enumeration() -> dict:
@@ -188,7 +188,7 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityOperator(HermitianOperator(0.5 * (m + m.conj().T)))
+    return DensityOperator(0.5 * (m + m.conj().T))
 
 
 def random_separable(rng: np.random.Generator) -> DensityOperator:
@@ -198,4 +198,4 @@ def random_separable(rng: np.random.Generator) -> DensityOperator:
     m = np.zeros((4, 4), dtype=complex)
     for p in weights:
         m += p * tensor(random_density(2, rng).matrix, random_density(2, rng).matrix)
-    return DensityOperator(HermitianOperator(0.5 * (m + m.conj().T)))
+    return DensityOperator(0.5 * (m + m.conj().T))

@@ -38,7 +38,7 @@ def _bell_state(cfg: RunConfig) -> op.DensityOperator:
     if name == "singlet":
         return bl.singlet()
     if name == "mixed":
-        return op.DensityOperator(op.HermitianOperator(np.eye(4) / 4))
+        return op.DensityOperator(np.eye(4) / 4)
     if name.startswith("werner:"):
         return bl.werner_state(float(name.split(":", 1)[1]))
     raise ValueError(f"unknown state {name!r} (singlet, mixed, werner:<x>)")

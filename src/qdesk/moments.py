@@ -12,8 +12,9 @@ import numpy as np
 
 from .operators import (
     DensityOperator,
-    HermitianOperator,
     _as_matrix,
+    _certified,
+    _check_projection,
     _require_positive,
     eigh,
     standardized_commutator,
@@ -60,10 +61,11 @@ def moments(w: DensityOperator, a, b, hbar: float = 1.0) -> MomentReport:
     """Means, variances, covariance, correlation and both sides of the
     variance indeterminacy inequality for a pair of observables.
 
-    A variance in (-1e-12, 0) is rounding and is reported as 0; one at or
-    below -1e-12 is reported as it is, for the caller's check to judge."""
+    ``a`` and ``b`` are certified Hermitian as ``eigh`` certifies its input;
+    ``w`` is not.  A variance in (-1e-12, 0) is rounding and is reported as
+    0; one at or below -1e-12 is reported as it is, for the caller's check."""
     _require_positive(hbar=hbar)
-    am, bm = _as_matrix(a), _as_matrix(b)
+    am, bm = _certified(a).matrix, _certified(b).matrix
     mean_a = expectation(w, am)
     mean_b = expectation(w, bm)
     var_a = expectation(w, am @ am) - mean_a ** 2
@@ -88,9 +90,9 @@ def moments(w: DensityOperator, a, b, hbar: float = 1.0) -> MomentReport:
 
 
 def entropy(w) -> float:
-    """von Neumann entropy -tr(W ln W) of a density operator or a density
-    matrix, with the 0 ln 0 := 0 convention."""
-    evs = np.clip(np.linalg.eigvalsh(_as_matrix(w)), 0.0, None)
+    """von Neumann entropy -tr(W ln W), with 0 ln 0 := 0, of a density
+    operator or of a matrix, which is first certified Hermitian within 1e-10."""
+    evs = np.clip(np.linalg.eigvalsh(_certified(w, hermiticity_tol=1e-10).matrix), 0.0, None)
     pos = evs[evs > 0]
     return float(-np.sum(pos * np.log(pos)))
 
@@ -103,24 +105,24 @@ def gibbs_state(h, beta: float) -> DensityOperator:
     pops = np.exp(shifted)
     pops /= pops.sum()
     m = (res.eigenvectors * pops) @ res.eigenvectors.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return DensityOperator(HermitianOperator(m, hermiticity_tol=1e-10))
+    return DensityOperator(0.5 * (m + m.conj().T))  # exactly Hermitian
 
 
 def luders_collapse(w: DensityOperator, e) -> DensityOperator:
-    """State update W -> EWE / tr(WE) after observing the event E."""
+    """State update W -> EWE / tr(WE) after observing the event E, which
+    must be a projection (Hermitian and idempotent) with tr(WE) > 1e-12."""
     em = _as_matrix(e)
+    _check_projection(em, "E")
     prob = float(np.trace(w.matrix @ em).real)
     if prob <= _COLLAPSE_TOL:
         raise ValueError(f"impossible outcome: tr(WE) = {prob:.3e} <= {_COLLAPSE_TOL:.0e}")
     m = em @ w.matrix @ em / prob
-    m = 0.5 * (m + m.conj().T)
-    return DensityOperator(HermitianOperator(m, hermiticity_tol=1e-9), trace_tol=1e-8)
+    return DensityOperator(0.5 * (m + m.conj().T), trace_tol=1e-8)  # exactly Hermitian
 
 
 def purify(w: DensityOperator) -> np.ndarray:
     """Pure vector on the doubled space whose first reduction is W."""
-    res = eigh(w.op)
+    res = eigh(w)
     d = w.dim
     phi = np.zeros(d * d, dtype=complex)
     for lam, vec in zip(res.eigenvalues, res.eigenvectors.T):

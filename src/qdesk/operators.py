@@ -1,7 +1,9 @@
 """Dense complex linear algebra on finite Hilbert spaces.
 
-Operators are plain square complex numpy arrays wrapped in thin validating
-containers.  Everything here is a pure function; no value is mutated after
+Operators are square complex numpy arrays in thin validating containers,
+compared and hashed by identity: a ``HermitianOperator`` is certified
+self-adjoint, and a ``DensityOperator`` is one that is also positive with
+unit trace.  Everything here is a pure function; no value is mutated after
 construction, so instances can be shared freely between workers.
 """
 
@@ -13,7 +15,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -105,11 +107,12 @@ def _asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Square complex matrix certified self-adjoint up to ``hermiticity_tol``."""
 
     matrix: np.ndarray
+    _: KW_ONLY
     hermiticity_tol: float = 1e-12
 
     def __post_init__(self):
@@ -127,16 +130,15 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """Positive unit-trace Hermitian operator."""
+@dataclass(frozen=True, eq=False)
+class DensityOperator(HermitianOperator):
+    """Certified Hermitian operator that is also positive, with trace 1
+    within ``trace_tol``."""
 
-    op: HermitianOperator
     trace_tol: float = 1e-10
 
     def __post_init__(self):
-        if not isinstance(self.op, HermitianOperator):
-            object.__setattr__(self, "op", HermitianOperator(self.op))
+        super().__post_init__()
         tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond tol {self.trace_tol}")
@@ -146,16 +148,8 @@ class DensityOperator:
                 f"smallest eigenvalue {lam_min:.3e} below psd tolerance {_PSD_TOL:.3e}"
             )
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
 
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralResolution:
     """Ascending real eigenvalues with an orthonormal set of column eigenvectors."""
 
@@ -178,12 +172,15 @@ class SpectralResolution:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
+def _certified(a, **tol) -> HermitianOperator:
+    """``a`` if it is a ``HermitianOperator``, else ``a`` certified as one."""
+    return a if isinstance(a, HermitianOperator) else HermitianOperator(a, **tol)
+
+
 def eigh(a) -> SpectralResolution:
     """Hermitian eigendecomposition; input that is not already a
     ``HermitianOperator`` is certified as one first."""
-    if not isinstance(a, HermitianOperator):
-        a = HermitianOperator(a)
-    w, v = np.linalg.eigh(a.matrix)
+    w, v = np.linalg.eigh(_certified(a).matrix)
     return SpectralResolution(eigenvalues=w, eigenvectors=v)
 
 def func_of(a, f) -> HermitianOperator:
@@ -203,8 +200,7 @@ def func_of(a, f) -> HermitianOperator:
             raise ValueError(f"function undefined at eigenvalue {lam!r} (got {y!r})")
         vals.append(y)
     m = (res.eigenvectors * np.asarray(vals)) @ res.eigenvectors.conj().T
-    m = 0.5 * (m + m.conj().T)  # kill rounding asymmetry
-    return HermitianOperator(m, hermiticity_tol=1e-9)
+    return HermitianOperator(0.5 * (m + m.conj().T))  # exactly Hermitian
 
 
 def tensor(a, b) -> np.ndarray:

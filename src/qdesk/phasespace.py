@@ -102,7 +102,7 @@ class GridSpec:
         return -self.length / 2 + (self.dq / 2) * np.arange(2 * self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridWavefunction:
     spec: GridSpec
     samples: np.ndarray
@@ -131,7 +131,7 @@ class GridWavefunction:
         return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSpaceField:
     """n x n field over the (p, q) plane, indexed values[p_index, q_index]."""
 

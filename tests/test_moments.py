@@ -107,6 +107,14 @@ class TestRobertsonSchroedinger:
                       commutator_expectation=0.0, inin_lhs=-0.01, inin_rhs=0.0)
         assert dataclasses.asdict(MomentReport(**fields)) == fields
 
+    @pytest.mark.parametrize("order", ["a", "b"])
+    def test_rejects_a_non_hermitian_observable(self, order):
+        # sigma+ has var 0 on I/2 and would pass the inequality vacuously
+        sigma_plus, sigma_z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
+        pair = (sigma_plus, sigma_z) if order == "a" else (sigma_z, sigma_plus)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            moments(DensityOperator(np.eye(2) / 2), *pair)
+
 
 class TestEntropyAndGibbs:
     def test_entropy_of_pure_state_zero(self):
@@ -118,6 +126,17 @@ class TestEntropyAndGibbs:
         w = DensityOperator(HermitianOperator(np.eye(4) / 4))
         assert abs(entropy(w) - np.log(4)) < 1e-12
         assert entropy(w.matrix) == entropy(w)
+
+    @pytest.mark.parametrize("m", [[[0.5, 1.0], [0.0, 0.5]], [[0.5, 0.0], [1.0, 0.5]]])
+    def test_entropy_rejects_a_non_hermitian_matrix(self, m):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            entropy(np.array(m))
+
+    def test_entropy_certifies_matrices_at_1e_10(self):
+        m = np.eye(2) / 2
+        assert entropy(m + np.array([[0.0, 0.9e-10], [0.0, 0.0]])) == pytest.approx(np.log(2))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            entropy(m + np.array([[0.0, 1.1e-10], [0.0, 0.0]]))
 
     def test_gibbs_state_two_level(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
@@ -146,6 +165,22 @@ class TestCollapse:
         e = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(ValueError):
             luders_collapse(w, e)
+
+    def test_luders_rejects_a_non_projection(self):
+        w = DensityOperator(np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="E is not idempotent"):
+            luders_collapse(w, np.diag([1.0, 0.5]))
+
+    def test_gibbs_and_collapse_are_exactly_hermitian(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            q = np.linalg.qr(g)[0]
+            e = q[:, :2] @ q[:, :2].conj().T
+            for m in (gibbs_state(random_hermitian(dim, rng), 0.7).matrix,
+                      luders_collapse(random_density(dim, rng), e).matrix):
+                assert np.array_equal(m, m.conj().T)
 
 
 class TestPurification:

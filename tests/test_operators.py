@@ -1,8 +1,11 @@
 """Tests for the dense operator layer."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from qdesk.moments import purify
 from qdesk.operators import (
     DensityOperator,
     HermitianOperator,
@@ -16,6 +19,7 @@ from qdesk.operators import (
     standardized_commutator,
     tensor,
 )
+from qdesk.phasespace import GridSpec, GridWavefunction, PhaseSpaceField
 
 
 def random_hermitian(dim, rng):
@@ -28,6 +32,15 @@ def random_density(dim, rng):
     m = g @ g.conj().T
     m /= np.trace(m).real
     return DensityOperator(HermitianOperator((m + m.conj().T) / 2))
+
+
+def array_holders():
+    """One instance of each value type that holds numpy arrays."""
+    spec = GridSpec(n=8, length=8.0)
+    m = np.diag([0.25, 0.75])
+    return [HermitianOperator(m), DensityOperator(m), eigh(m),
+            GridWavefunction(spec, np.full(8, 8 ** -0.5)),
+            PhaseSpaceField(spec, np.zeros((8, 8)))]
 
 
 def random_orthobasis(dim, rng):
@@ -68,6 +81,46 @@ class TestContainers:
         assert w.dim == 2
 
 
+class TestDensityIsHermitian:
+    def test_density_is_a_hermitian_operator(self):
+        assert isinstance(DensityOperator(np.eye(2) / 2), HermitianOperator)
+
+    def test_eigh_reads_the_matrix(self):
+        w = random_density(4, np.random.default_rng(11))
+        res, ref = eigh(w), eigh(w.matrix)
+        assert (np.array_equal(res.eigenvalues, ref.eigenvalues)
+                and np.array_equal(res.eigenvectors, ref.eigenvectors))
+
+    def test_purify_reads_the_matrix(self):
+        w = random_density(4, np.random.default_rng(12))
+        lam, vecs = np.linalg.eigh(w.matrix)
+        phi = np.zeros(16, dtype=complex)
+        for x, v in zip(lam, vecs.T):
+            if x > 0:
+                phi += np.sqrt(x) * np.kron(v, v)
+        assert np.array_equal(purify(w), phi / np.linalg.norm(phi))
+
+    def test_density_accepts_a_hermitian_operator(self):
+        m = np.diag([0.25, 0.75])
+        assert np.array_equal(DensityOperator(HermitianOperator(m)).matrix, m)
+
+    def test_second_positional_argument_is_the_trace_tolerance(self):
+        assert DensityOperator(np.eye(2) / 2, 1e-8).trace_tol == 1e-8
+
+    def test_hermiticity_tolerance_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            HermitianOperator(np.eye(2), 1e-9)
+
+
+@pytest.mark.parametrize("x", array_holders(), ids=lambda x: type(x).__name__)
+class TestIdentityEquality:
+    def test_equal_only_to_itself(self, x):
+        assert x == x and x != copy.deepcopy(x)
+
+    def test_hashable(self, x):
+        assert {x: 1}[x] == 1
+
+
 class TestSpectral:
     def test_eigh_reconstruct_fuzz(self):
         rng = np.random.default_rng(7)
@@ -94,6 +147,12 @@ class TestSpectral:
         a = random_hermitian(3, rng)
         b = func_of(a, lambda x: x)
         assert np.max(np.abs(b.matrix - a.matrix)) < 1e-10
+
+    def test_func_of_result_is_exactly_hermitian(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            m = func_of(random_hermitian(int(rng.integers(2, 7)), rng), np.exp).matrix
+            assert np.array_equal(m, m.conj().T)
 
     def test_func_of_domain_error(self):
         a = HermitianOperator(np.diag([1.0, -1.0]))
