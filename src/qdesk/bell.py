@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import entropy
-from .operators import DensityOperator, HermitianOperator, commutator, partial_trace, tensor
+from .operators import (DensityOperator, HermitianOperator, commutator, expectation,
+                        partial_trace, tensor)
 from .spin import PAULI, SX, SY, SZ, _ID2, _pauli_sum, _unit
 
 __all__ = [
@@ -85,11 +86,9 @@ def bell_states() -> tuple[DensityOperator, DensityOperator]:
 
 
 def entropy_triangle(w: DensityOperator) -> EntropyTriangleReport:
-    if w.dim != 4:
-        raise ValueError("entropy_triangle expects a two-qubit state")
+    s1 = entropy(partial_trace(w, (2, 2), keep=1))  # refuses all but two qubits
+    s2 = entropy(partial_trace(w, (2, 2), keep=2))
     s = entropy(w)
-    s1 = entropy(partial_trace(w.matrix, (2, 2), keep=1))
-    s2 = entropy(partial_trace(w.matrix, (2, 2), keep=2))
     return EntropyTriangleReport(s=s, s1=s1, s2=s2, delta_s=s1 + s2 - s)
 
 
@@ -108,8 +107,7 @@ def chsh_operator(cfg: CHSHConfig) -> tuple[HermitianOperator, dict]:
 
 def chsh_value(w: DensityOperator, cfg: CHSHConfig) -> float:
     """<K> = tr(WK); bounded by 2*sqrt(2) for any state (Tsirelson)."""
-    k, _ = chsh_operator(cfg)
-    return float(np.trace(w.matrix @ k.matrix).real)
+    return expectation(w, chsh_operator(cfg)[0])
 
 
 def werner_state(x: float) -> DensityOperator:
@@ -197,5 +195,5 @@ def random_separable(rng: np.random.Generator) -> DensityOperator:
     weights = rng.dirichlet(np.ones(n))
     m = np.zeros((4, 4), dtype=complex)
     for p in weights:
-        m += p * tensor(random_density(2, rng).matrix, random_density(2, rng).matrix)
+        m += p * tensor(random_density(2, rng), random_density(2, rng))
     return DensityOperator(0.5 * (m + m.conj().T))

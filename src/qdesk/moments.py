@@ -1,6 +1,6 @@
-"""Statistical layer: expectations, variances, covariances, the
-Robertson-Schroedinger inequality, entropies, Gibbs states, collapse and
-purification.
+"""Statistical layer on ``operators.expectation``: variances, covariances,
+the Robertson-Schroedinger inequality, entropies, Gibbs states, collapse
+and purification.  A state may be a ``DensityOperator`` or a plain matrix.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ from .operators import (
     DensityOperator,
     _as_matrix,
     _certified,
-    _check_projection,
+    _projection,
     _require_positive,
     eigh,
+    expectation,
     standardized_commutator,
 )
 
 __all__ = [
     "MomentReport",
-    "expectation",
     "moments",
     "entropy",
     "gibbs_state",
@@ -44,17 +44,6 @@ class MomentReport:
     commutator_expectation: float
     inin_lhs: float
     inin_rhs: float
-
-
-def expectation(w: DensityOperator, a) -> float:
-    """tr(WA), with a guard on the imaginary rounding residue."""
-    wm, am = _as_matrix(w), _as_matrix(a)
-    if wm.shape != am.shape:
-        raise ValueError("dimension mismatch between state and observable")
-    val = complex(np.trace(wm @ am))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
 
 
 def moments(w: DensityOperator, a, b, hbar: float = 1.0) -> MomentReport:
@@ -111,19 +100,18 @@ def gibbs_state(h, beta: float) -> DensityOperator:
 def luders_collapse(w: DensityOperator, e) -> DensityOperator:
     """State update W -> EWE / tr(WE) after observing the event E, which
     must be a projection (Hermitian and idempotent) with tr(WE) > 1e-12."""
-    em = _as_matrix(e)
-    _check_projection(em, "E")
-    prob = float(np.trace(w.matrix @ em).real)
+    em = _projection(e, "E")
+    prob = expectation(w, em)
     if prob <= _COLLAPSE_TOL:
         raise ValueError(f"impossible outcome: tr(WE) = {prob:.3e} <= {_COLLAPSE_TOL:.0e}")
-    m = em @ w.matrix @ em / prob
+    m = em @ _as_matrix(w) @ em / prob
     return DensityOperator(0.5 * (m + m.conj().T), trace_tol=1e-8)  # exactly Hermitian
 
 
 def purify(w: DensityOperator) -> np.ndarray:
     """Pure vector on the doubled space whose first reduction is W."""
     res = eigh(w)
-    d = w.dim
+    d = len(res.eigenvalues)
     phi = np.zeros(d * d, dtype=complex)
     for lam, vec in zip(res.eigenvalues, res.eigenvectors.T):
         if lam > 0:

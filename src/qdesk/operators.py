@@ -3,7 +3,10 @@
 Operators are square complex numpy arrays in thin validating containers,
 compared and hashed by identity: a ``HermitianOperator`` is certified
 self-adjoint, and a ``DensityOperator`` is one that is also positive with
-unit trace.  Everything here is a pure function; no value is mutated after
+unit trace.  An operator or state argument may also be a plain square
+matrix; one helper reads each kind (``_as_matrix``, ``_certified``,
+``_projection``, ``_same_shape``), and only ``expectation`` takes tr(WA).
+Everything here is a pure function; no value is mutated after
 construction, so instances can be shared freely between workers.
 """
 
@@ -25,6 +28,7 @@ __all__ = [
     "SpectralResolution",
     "eigh",
     "func_of",
+    "expectation",
     "tensor",
     "partial_trace",
     "commutator",
@@ -48,6 +52,14 @@ def _as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN/Inf entries")
     return m
+
+
+def _same_shape(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands as matrices, which must have the same shape."""
+    ma, mb = _as_matrix(a), _as_matrix(b)
+    if ma.shape != mb.shape:
+        raise ValueError(f"dimension mismatch: {ma.shape} and {mb.shape}")
+    return ma, mb
 
 
 def _require_positive(**values) -> None:
@@ -203,10 +215,18 @@ def func_of(a, f) -> HermitianOperator:
     return HermitianOperator(0.5 * (m + m.conj().T))  # exactly Hermitian
 
 
+def expectation(w, a) -> float:
+    """tr(WA), with a guard on the imaginary rounding residue."""
+    wm, am = _same_shape(w, a)
+    val = complex(np.trace(wm @ am))
+    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
+    return val.real
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; subsystem 1 is the slow (left) index."""
-    return np.kron(np.asarray(getattr(a, "matrix", a), dtype=complex),
-                   np.asarray(getattr(b, "matrix", b), dtype=complex))
+    return np.kron(_as_matrix(a), _as_matrix(b))
 
 
 def partial_trace(a, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -229,17 +249,13 @@ def partial_trace(a, dims: tuple[int, int], keep: int) -> np.ndarray:
 
 def commutator(a, b) -> np.ndarray:
     """[A,B] = AB - BA (no i/hbar factor)."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError("dimension mismatch in commutator")
+    ma, mb = _same_shape(a, b)
     return ma @ mb - mb @ ma
 
 
 def anticommutator(a, b) -> np.ndarray:
     """{A,B} = AB + BA."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError("dimension mismatch in anticommutator")
+    ma, mb = _same_shape(a, b)
     return ma @ mb + mb @ ma
 
 
@@ -248,11 +264,14 @@ def standardized_commutator(a, b, hbar: float) -> np.ndarray:
     return 1j / hbar * commutator(a, b)
 
 
-def _check_projection(e: np.ndarray, name: str):
-    if _asymmetry(e) > _PROJECTION_TOL:
+def _projection(e, name: str) -> np.ndarray:
+    """``e`` as a matrix, which must be Hermitian and idempotent."""
+    m = _as_matrix(e)
+    if _asymmetry(m) > _PROJECTION_TOL:
         raise ValueError(f"{name} is not Hermitian within {_PROJECTION_TOL}")
-    if np.max(np.abs(e @ e - e)) > 1e-9:
+    if np.max(np.abs(m @ m - m)) > 1e-9:
         raise ValueError(f"{name} is not idempotent within 1e-9")
+    return m
 
 
 def lattice_meet(e, f) -> np.ndarray:
@@ -261,9 +280,7 @@ def lattice_meet(e, f) -> np.ndarray:
     Convergence is geometric with ratio cos^2 of the principal angle between
     the ranges; non-convergence within 10 000 steps raises with the residual.
     """
-    me, mf = _as_matrix(e), _as_matrix(f)
-    _check_projection(me, "E")
-    _check_projection(mf, "F")
+    me, mf = _projection(e, "E"), _projection(f, "F")
     x = me.copy()
     for _ in range(_MEET_MAX_ITER):
         x_next = me @ (mf @ x)
@@ -279,17 +296,13 @@ def lattice_meet(e, f) -> np.ndarray:
 
 def gleason_additivity_check(w: DensityOperator, projections) -> dict:
     """Additivity of mu(E) = tr(WE) over a pairwise-orthogonal family."""
-    ps = [_as_matrix(p) for p in projections]
-    for i, p in enumerate(ps):
-        _check_projection(p, f"E_{i}")
+    ps = [_projection(p, f"E_{i}") for i, p in enumerate(projections)]
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             if np.max(np.abs(ps[i] @ ps[j])) > 1e-9:
                 raise ValueError(f"projections {i} and {j} are not orthogonal")
-    wm = w.matrix
-    mus = [float(np.trace(wm @ p).real) for p in ps]
-    total = sum(ps)
-    mu_sum_op = float(np.trace(wm @ total).real)
+    mus = [expectation(w, p) for p in ps]
+    mu_sum_op = expectation(w, sum(ps))
     for i, mu in enumerate(mus):
         if not -_PROJECTION_TOL <= mu <= 1 + _PROJECTION_TOL:
             raise ValueError(f"mu(E_{i}) = {mu} outside [0,1]")

@@ -45,8 +45,8 @@ class Potential:
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
-            raise ValueError("a potential needs at least one coefficient")
+        if not coeffs or not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"a potential needs at least one coefficient, all finite: {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod

@@ -81,8 +81,8 @@ class BlochState:
     def __post_init__(self):
         p = tuple(float(x) for x in self.p_vec)
         object.__setattr__(self, "p_vec", p)
-        if np.linalg.norm(p) > 1 + 1e-12:
-            raise ValueError(f"Bloch vector has |p| = {np.linalg.norm(p)} > 1")
+        if not np.linalg.norm(p) <= 1 + 1e-12:  # also rejects NaN
+            raise ValueError(f"Bloch vector needs |p| <= 1, got {np.linalg.norm(p)}")
 
     def matrix(self) -> np.ndarray:
         return 0.5 * _pauli_sum(1.0, self.p_vec)

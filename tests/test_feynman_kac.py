@@ -47,6 +47,11 @@ class TestPotential:
         with pytest.raises(ValueError, match="at least one coefficient"):
             Potential.polynomial(())
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_coefficient(self, c):
+        with pytest.raises(ValueError, match="all finite"):
+            Potential((0.0, 0.0, 0.5, c))
+
     def test_polynomial_eval(self):
         assert HARMONIC(2.0) == 2.0
         assert np.allclose(HARMONIC(np.array([0.0, 1.0])), [0.0, 0.5])

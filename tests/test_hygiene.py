@@ -124,3 +124,33 @@ def test_benchmark_span_resolves(span):
     for attr in path:
         target = getattr(target, attr)
     assert callable(target)
+
+
+def operator_reads(tree: ast.Module) -> list:
+    """Each read of ``.matrix`` or ``.dim`` on a function's own parameter,
+    ``self`` excepted, and each ``getattr(..., "matrix", ...)``, as
+    ``"<function>: <what>"``."""
+    hits = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = {p.arg for p in ast.walk(fn.args) if isinstance(p, ast.arg)} - {"self"}
+        for n in ast.walk(fn):
+            if (isinstance(n, ast.Attribute) and n.attr in ("matrix", "dim")
+                    and isinstance(n.value, ast.Name) and n.value.id in params):
+                hits.append(f"{fn.name}: {n.value.id}.{n.attr}")
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "getattr" and len(n.args) > 1
+                  and isinstance(n.args[1], ast.Constant) and n.args[1].value == "matrix"):
+                hits.append(f"{fn.name}: getattr")
+    return hits
+
+
+def test_operator_arguments_are_read_by_the_helpers():
+    """An operator or state argument may be a container or a plain matrix:
+    a function reads it through ``_as_matrix`` (or ``_certified``,
+    ``_projection``, ``_same_shape``), never by its ``.matrix`` or ``.dim``,
+    which a plain matrix lacks.  ``_as_matrix`` alone unwraps a container."""
+    hits = [f"{path.stem}.{hit}" for path in sorted(PKG.glob("*.py"))
+            for hit in operator_reads(parse(path))]
+    assert hits == ["operators._as_matrix: getattr"]

@@ -1,17 +1,20 @@
 """Tests for the dense operator layer."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
-from qdesk.moments import purify
+from qdesk.bell import chsh_value, entropy_triangle, fig1_config
+from qdesk.moments import entropy, luders_collapse, moments, purify
 from qdesk.operators import (
     DensityOperator,
     HermitianOperator,
     anticommutator,
     commutator,
     eigh,
+    expectation,
     func_of,
     gleason_additivity_check,
     lattice_meet,
@@ -119,6 +122,54 @@ class TestIdentityEquality:
 
     def test_hashable(self, x):
         assert {x: 1}[x] == 1
+
+
+SZ4 = np.diag([1.0, -1.0, 1.0, -1.0])
+SX4 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+STATE_READERS = {
+    "expectation": lambda w: expectation(w, SZ4),
+    "moments": lambda w: dataclasses.asdict(moments(w, SZ4, SX4)),
+    "entropy": entropy,
+    "luders_collapse": lambda w: luders_collapse(w, np.diag([1.0, 1.0, 0.0, 0.0])).matrix,
+    "purify": purify,
+    "chsh_value": lambda w: chsh_value(w, fig1_config()),
+    "gleason_additivity_check": lambda w: gleason_additivity_check(
+        w, random_orthobasis(4, np.random.default_rng(2))),
+    "entropy_triangle": lambda w: dataclasses.asdict(entropy_triangle(w)),
+}
+
+
+class TestStateArguments:
+    @pytest.mark.parametrize("reader", STATE_READERS.values(), ids=STATE_READERS.keys())
+    def test_a_state_may_be_a_plain_matrix(self, reader):
+        w = random_density(4, np.random.default_rng(30))
+        np.testing.assert_equal(reader(w.matrix), reader(w))
+
+    @pytest.mark.parametrize("call", [
+        lambda q: expectation(q, np.eye(3)),
+        lambda q: commutator(q, np.eye(3)),
+        lambda q: anticommutator(q, np.eye(3)),
+        lambda q: chsh_value(q, fig1_config()),
+        lambda q: gleason_additivity_check(q, [np.diag([1.0, 0.0, 0.0])]),
+        lambda q: luders_collapse(q, np.diag([1.0, 0.0, 0.0])),
+    ], ids=["expectation", "commutator", "anticommutator", "chsh_value",
+            "gleason_additivity_check", "luders_collapse"])
+    def test_shapes_must_match(self, call):
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) and"):
+            call(np.eye(2) / 2)
+
+    def test_entropy_triangle_refuses_one_qubit(self):
+        with pytest.raises(ValueError, match="matrix dim 2 != d1\\*d2 = 4"):
+            entropy_triangle(np.eye(2) / 2)
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([[np.nan]], [[1.0]], "NaN"),
+        ([[1.0]], [[np.inf]], "NaN/Inf"),
+        ([[1.0, 2.0]], [[1.0]], "square"),
+    ])
+    def test_tensor_refuses_what_as_matrix_refuses(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            tensor(a, b)
 
 
 class TestSpectral:

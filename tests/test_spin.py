@@ -81,6 +81,10 @@ class TestBlochState:
         with pytest.raises(ValueError):
             BlochState(np.array([1.0, 1.0, 0.0]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"\|p\| <= 1"):
+            BlochState((np.nan, 0.0, 0.0))
+
     def test_pure_detection(self):
         assert BlochState(np.array([0.0, 0.0, 1.0])).is_pure
         assert not BlochState(np.array([0.0, 0.0, 0.5])).is_pure
