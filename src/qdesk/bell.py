@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import entropy
-from .operators import (DensityOperator, HermitianOperator, commutator, expectation,
-                        partial_trace, tensor)
+from .operators import (DensityOperator, HermitianOperator, _hermitian_part, commutator,
+                        expectation, partial_trace, tensor)
 from .spin import PAULI, SX, SY, SZ, _ID2, _pauli_sum, _unit
 
 __all__ = [
@@ -186,7 +186,7 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityOperator(0.5 * (m + m.conj().T))
+    return DensityOperator(_hermitian_part(m))
 
 
 def random_separable(rng: np.random.Generator) -> DensityOperator:
@@ -196,4 +196,4 @@ def random_separable(rng: np.random.Generator) -> DensityOperator:
     m = np.zeros((4, 4), dtype=complex)
     for p in weights:
         m += p * tensor(random_density(2, rng), random_density(2, rng))
-    return DensityOperator(0.5 * (m + m.conj().T))
+    return DensityOperator(_hermitian_part(m))

@@ -51,7 +51,7 @@ def _packet(cfg: RunConfig) -> ps.GridWavefunction:
 
 def _random_hermitian(dim: int, rng: np.random.Generator) -> op.HermitianOperator:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return op.HermitianOperator((g + g.conj().T) / 2)
+    return op.HermitianOperator(op._hermitian_part(g))
 
 
 def _run_inin(cfg: RunConfig):

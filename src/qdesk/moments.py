@@ -14,6 +14,7 @@ from .operators import (
     DensityOperator,
     _as_matrix,
     _certified,
+    _hermitian_part,
     _projection,
     _require_positive,
     eigh,
@@ -94,7 +95,7 @@ def gibbs_state(h, beta: float) -> DensityOperator:
     pops = np.exp(shifted)
     pops /= pops.sum()
     m = (res.eigenvectors * pops) @ res.eigenvectors.conj().T
-    return DensityOperator(0.5 * (m + m.conj().T))  # exactly Hermitian
+    return DensityOperator(_hermitian_part(m))
 
 
 def luders_collapse(w: DensityOperator, e) -> DensityOperator:
@@ -105,7 +106,7 @@ def luders_collapse(w: DensityOperator, e) -> DensityOperator:
     if prob <= _COLLAPSE_TOL:
         raise ValueError(f"impossible outcome: tr(WE) = {prob:.3e} <= {_COLLAPSE_TOL:.0e}")
     m = em @ _as_matrix(w) @ em / prob
-    return DensityOperator(0.5 * (m + m.conj().T), trace_tol=1e-8)  # exactly Hermitian
+    return DensityOperator(_hermitian_part(m), trace_tol=1e-8)
 
 
 def purify(w: DensityOperator) -> np.ndarray:

@@ -6,6 +6,7 @@ self-adjoint, and a ``DensityOperator`` is one that is also positive with
 unit trace.  An operator or state argument may also be a plain square
 matrix; one helper reads each kind (``_as_matrix``, ``_certified``,
 ``_projection``, ``_same_shape``), and only ``expectation`` takes tr(WA).
+A matrix built to be Hermitian is made exactly so by ``_hermitian_part``.
 Everything here is a pure function; no value is mutated after
 construction, so instances can be shared freely between workers.
 """
@@ -60,6 +61,14 @@ def _same_shape(a, b) -> tuple[np.ndarray, np.ndarray]:
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} and {mb.shape}")
     return ma, mb
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^dagger)/2, exactly Hermitian: entry (j, k) is the rounded sum
+    m_jk + conj(m_kj), and entry (k, j) its exact conjugate, since
+    floating-point addition commutes and rounds symmetrically about 0, and
+    conjugation is exact."""
+    return 0.5 * (m + m.conj().T)
 
 
 def _require_positive(**values) -> None:
@@ -212,7 +221,7 @@ def func_of(a, f) -> HermitianOperator:
             raise ValueError(f"function undefined at eigenvalue {lam!r} (got {y!r})")
         vals.append(y)
     m = (res.eigenvectors * np.asarray(vals)) @ res.eigenvectors.conj().T
-    return HermitianOperator(0.5 * (m + m.conj().T))  # exactly Hermitian
+    return HermitianOperator(_hermitian_part(m))
 
 
 def expectation(w, a) -> float:
@@ -286,8 +295,7 @@ def lattice_meet(e, f) -> np.ndarray:
         x_next = me @ (mf @ x)
         if np.max(np.abs(x_next - x)) <= _PROJECTION_TOL:
             # symmetrize the numerical limit: it is a projection in theory
-            g = 0.5 * (x_next + x_next.conj().T)
-            return g
+            return _hermitian_part(x_next)
         x = x_next
     resid = float(np.max(np.abs(me @ (mf @ x) - x)))
     raise RuntimeError(f"lattice_meet did not converge in {_MEET_MAX_ITER} steps "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import _one_blas_thread, _require_positive
-from .phasespace import GridSpec, grid_hamiltonian
+from .phasespace import GridSpec, _edge_ratios, grid_hamiltonian
 
 __all__ = [
     "Potential", "gauss_transform_potential", "classical_partition",
@@ -179,20 +179,15 @@ def _boltzmann_sum(v: Potential, beta: float, spec: GridSpec, m: float,
                    edges: bool) -> tuple[float, float, float]:
     """ln sum_k e^{-beta E_k} over the eigenvalues of the grid Hamiltonian,
     the sum taken relative to e^{-beta E_0}, and, with ``edges``, the
-    largest amplitude of the three lowest eigenstates at the position edges
-    and at the momentum edges |p| = pi hbar/dq, each over its peak (0
-    without; only then are eigenvectors computed)."""
+    position and momentum edge ratios of the three lowest eigenstates by
+    the state edge rule, ``phasespace._edge_ratios`` ((0, 0) without; only
+    then are eigenvectors computed)."""
     h = grid_hamiltonian(spec, m, v)
     q_edge = p_edge = 0.0
     with _one_blas_thread():
         vals, vecs = np.linalg.eigh(h) if edges else (np.linalg.eigvalsh(h), None)
     if edges:
-        low = np.abs(vecs[:, :3])
-        low_hat = np.abs(np.fft.fft(vecs[:, :3], axis=0))
-        n = spec.n
-        q_edge = float((low[[0, -1]].max(axis=0) / low.max(axis=0)).max())
-        p_edge = float((low_hat[[n // 2 - 1, n // 2]].max(axis=0)
-                        / low_hat.max(axis=0)).max())
+        q_edge, p_edge = _edge_ratios(vecs[:, :3])
     weights, beta_e0 = _peak_weights(beta * vals)
     return math.log(float(weights.sum())) - float(beta_e0), q_edge, p_edge
 

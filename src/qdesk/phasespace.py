@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operators import _require_positive
+from .operators import _as_matrix, _hermitian_part, _require_positive, _same_shape
 
 __all__ = [
     "GridSpec", "GridWavefunction", "PhaseSpaceField",
@@ -189,13 +189,23 @@ def to_momentum(psi: GridWavefunction) -> np.ndarray:
             * np.fft.fftshift(np.fft.fft(psi.samples)))
 
 
+def _edge_ratios(samples: np.ndarray) -> tuple[float, float]:
+    """The largest |psi| at the position edges (samples 0 and -1) and the
+    largest |psi_hat| at the momentum edges |p| = pi hbar/dq (FFT bins
+    n/2 - 1 and n/2), each over its peak; for an n x k array of states in
+    columns, the larger over the columns.  The scale, sign and fftshift of
+    to_momentum cancel in a ratio, so a plain FFT serves."""
+    n = len(samples)
+    amps = np.abs(samples), np.abs(np.fft.fft(samples, axis=0))
+    return tuple(float((amp[edges].max(axis=0) / amp.max(axis=0)).max())
+                 for amp, edges in zip(amps, ([0, -1], [n // 2 - 1, n // 2])))
+
+
 def _check_edges(psi: GridWavefunction, tol: float) -> None:
-    """ValueError when |psi| at the position edges, or |psi_hat| at the
-    momentum edges |p| = pi hbar/dq, exceeds ``tol`` of its peak: the grid
-    cuts the state off, or its momentum samples alias."""
-    for amp, fault in ((np.abs(psi.samples), "state too wide for the grid"),
-                       (np.abs(to_momentum(psi)), "state not resolved in momentum")):
-        edge = max(amp[0], amp[-1]) / amp.max()
+    """ValueError when an edge ratio of ``_edge_ratios`` exceeds ``tol``:
+    the grid cuts the state off, or its momentum samples alias."""
+    faults = ("state too wide for the grid", "state not resolved in momentum")
+    for edge, fault in zip(_edge_ratios(psi.samples), faults):
         if not edge <= tol:
             raise ValueError(f"{fault}: edge amplitude {edge:.3e} of the peak")
 
@@ -377,7 +387,7 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
 
     A GridWavefunction whose |psi| at the grid edge, or whose |psi_hat| at
     the momentum edge, exceeds 1e-10 of its peak raises ValueError; a
-    kernel must have shape (n, n) and gets no edge check.
+    kernel must be finite and of shape (n, n), and gets no edge check.
     """
     if isinstance(state, GridWavefunction):
         spec = state.spec
@@ -389,9 +399,10 @@ def wigner_transform(state, spec: GridSpec | None = None) -> PhaseSpaceField:
     if kernel.shape != (spec.n, spec.n):
         raise ValueError(f"kernel shape {kernel.shape} does not match "
                          f"the grid ({spec.n}, {spec.n})")
+    kernel = _as_matrix(kernel)
     if np.array_equal(kernel, kernel.conj().T):
         return PhaseSpaceField(spec, _hermitian_wigner(_kernel_lags(kernel), spec))
-    hermitian = (kernel + kernel.conj().T) / 2
+    hermitian = _hermitian_part(kernel)
     anti = (kernel - hermitian) / 1j
     w = _hermitian_wigner(_kernel_lags(hermitian), spec)
     # |W(A)| <= dq (2n - 1) max|kup_A| <= dq (2n - 1) ||A||_F (the half-step
@@ -464,7 +475,9 @@ def weyl_quantize(symbol: PhaseSpaceField, fine_symbol: np.ndarray | None = None
 
 
 def isometry_check(a_kernel: np.ndarray, b_kernel: np.ndarray, spec: GridSpec) -> dict:
-    """<a,b> on phase space against tr(A* B) on the grid."""
+    """<a,b> on phase space against tr(A* B) on the grid, for two finite
+    kernels of one shape."""
+    a_kernel, b_kernel = _same_shape(a_kernel, b_kernel)
     wa = wigner_transform(a_kernel, spec)
     wb = wigner_transform(b_kernel, spec)
     cell = spec.dp * spec.dq / (2 * math.pi * spec.hbar)

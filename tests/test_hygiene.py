@@ -154,3 +154,33 @@ def test_operator_arguments_are_read_by_the_helpers():
     hits = [f"{path.stem}.{hit}" for path in sorted(PKG.glob("*.py"))
             for hit in operator_reads(parse(path))]
     assert hits == ["operators._as_matrix: getattr"]
+
+
+def innermost_function(tree: ast.Module, node: ast.AST) -> str:
+    fns = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+           and fn.lineno <= node.lineno <= fn.end_lineno]
+    return max(fns, key=lambda fn: fn.lineno).name if fns else "<module>"
+
+
+def hermitian_sums(tree: ast.Module) -> list:
+    """Each sum ``X + X.conj().T`` (either order), as its function's name."""
+    def adjoint_of(node, other):
+        return (isinstance(node, ast.Attribute) and node.attr == "T"
+                and isinstance(node.value, ast.Call) and not node.value.args
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "conj"
+                and ast.dump(node.value.func.value) == ast.dump(other))
+    return [innermost_function(tree, n) for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+            and (adjoint_of(n.right, n.left) or adjoint_of(n.left, n.right))]
+
+
+def test_matrix_and_grid_rules_are_written_once():
+    """The exact Hermitian part is taken only by ``operators._hermitian_part``,
+    and the spectral reference tests its eigenstates' edges with the state
+    edge rule, ``phasespace._edge_ratios``, so ``partition`` takes no FFT."""
+    sums = [f"{path.stem}.{fn}" for path in MODULES for fn in hermitian_sums(parse(path))]
+    assert sums == ["operators._hermitian_part"]
+    fft = [f"line {n.lineno}" for n in ast.walk(parse(PKG / "partition.py"))
+           if isinstance(n, ast.Attribute) and n.attr == "fft"]
+    assert fft == []

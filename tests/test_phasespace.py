@@ -207,6 +207,17 @@ class TestWigner:
         with pytest.raises(ValueError, match="does not match the grid"):
             wigner_transform(np.zeros(shape, dtype=complex), GridSpec(64, 16.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_kernel(self, bad):
+        good = gaussian_packet(SPEC, alpha2=1.0).kernel()
+        kernel = good.copy()
+        kernel[40, 90] = bad
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            wigner_transform(kernel, SPEC)
+        for a, b in ((kernel, good), (good, kernel)):
+            with pytest.raises(ValueError, match="NaN/Inf"):
+                isometry_check(a, b, SPEC)
+
     @pytest.mark.parametrize("positions", [1, 3, SPEC.n])
     def test_blocks_do_not_change_bits(self, monkeypatch, positions):
         psi = gaussian_packet(SPEC, alpha2=0.8, gamma=0.2, q0=0.5, p0=-0.3)
@@ -256,6 +267,41 @@ class TestWigner:
         assert res["relative_error"] < 1e-6
         res2 = isometry_check(psi.kernel(), psi.kernel(), SPEC)
         assert res2["relative_error"] < 1e-6
+
+
+def chirped_samples(spec):
+    """Samples of the scenarios' packet, alpha2 = 1 and gamma = 0.3, built
+    without gaussian_packet's edge check."""
+    q = spec.position_grid()
+    psi = np.exp(-q ** 2 / 4) * np.exp(1j * 0.3 * q ** 2 / spec.hbar)
+    return psi / math.sqrt(np.sum(np.abs(psi) ** 2) * spec.dq)
+
+
+class TestEdgeRatios:
+    @pytest.mark.parametrize("n,hbar", [(512, 0.01), (512, 0.12), (512, 0.13),
+                                        (1024, 0.06), (1024, 0.065)])
+    def test_packet_ratios_match_momentum_samples(self, n, hbar):
+        # to_momentum's scale, sign and fftshift cancel in the ratio up to
+        # the rounding of the scaled samples
+        spec = GridSpec(n=n, length=32.0, hbar=hbar)
+        samples = chirped_samples(spec)
+        amp, amp_hat = np.abs(samples), np.abs(to_momentum(GridWavefunction(spec, samples)))
+        q_ratio, p_ratio = phasespace._edge_ratios(samples)
+        assert q_ratio == max(amp[0], amp[-1]) / amp.max()
+        p_ref = max(amp_hat[0], amp_hat[-1]) / amp_hat.max()
+        assert abs(p_ratio - p_ref) <= 4 * np.finfo(float).eps * p_ref
+
+    @pytest.mark.parametrize("n,length", [(128, 16.0), (512, 24.0)])
+    def test_eigenstate_ratios_bit_equal_to_column_formula(self, n, length):
+        # the spectral reference's edge test before it used _edge_ratios
+        h = grid_hamiltonian(GridSpec(n, length), 1.0, POTENTIALS["double_well"])
+        vecs = np.linalg.eigh(h)[1]
+        low = np.abs(vecs[:, :3])
+        low_hat = np.abs(np.fft.fft(vecs[:, :3], axis=0))
+        q_edge = float((low[[0, -1]].max(axis=0) / low.max(axis=0)).max())
+        p_edge = float((low_hat[[n // 2 - 1, n // 2]].max(axis=0)
+                        / low_hat.max(axis=0)).max())
+        assert phasespace._edge_ratios(vecs[:, :3]) == (q_edge, p_edge)
 
 
 class TestWignerLinearity:
